@@ -7,24 +7,22 @@ experiments (Weyl counting, residue trace, parametrix checks), and the
 unimodular cut calculus of planar rational cones.
 """
 
-from .cones import (FULL_PLANE, Cone2, ConeN, ConeNormalForm, FullPlane,
-                    HalfPlane, apply_unimodular, cone_from_normals, contains,
-                    cut_cone, cut_coneN, cut_plan, equivalence_witness,
-                    gl_equivalent, lattice_index, lens_cone, normal_form,
-                    sphere_cone)
+from .cones import (FULL_PLANE, Cone2, ConeNormalForm, FullPlane, HalfPlane,
+                    apply_unimodular, contains, cut_cone, cut_plan,
+                    equivalence_witness, gl_equivalent, lattice_index,
+                    lens_cone, normal_form, sphere_cone)
 from .cutspace import (Jet, extends_smoothly, odd_monomials, pullback_jet,
                        pushforward_symbol)
 from .errors import (DegenerateCut, DomainError, EmptyCut, FitRangeTooSmall,
                      NonzeroRemainder, NotAdmissible, NotCoprime, NotElliptic,
                      NotHomogeneous, NotInCommutant, NotSelfAdjoint, OddJet,
-                     WindowTooSmall, WrongDegree, ZeroOperator, ZeroVector)
-from .exact import (GaussianRational, Polynomial, Rational, Unimodular2,
-                    bezout, poly_divide_exact, poly_eval, poly_shift,
-                    primitive, rational_from_str, rational_to_str)
-from .operators import (CanonicalOperator, GeneratorName, Parity,
-                        TruncatedMatrix, adjoint, commutant_factorize,
-                        commutator, compose, make_generator, raising_product,
-                        realize_matrix, recompose_factors,
+                     WrongDegree, ZeroOperator, ZeroVector)
+from .exact import (GaussianRational, Polynomial, Unimodular2, bezout,
+                    poly_divide_exact, primitive, rational_from_str,
+                    rational_to_str)
+from .operators import (CanonicalOperator, GeneratorName, Parity, adjoint,
+                        commutant_factorize, commutator, compose,
+                        make_generator, raising_product, recompose_factors,
                         require_self_adjoint, required_vanishing,
                         shift_divisor, szego_commutator_entries,
                         szego_commutes, verify_pk_identity)
@@ -41,28 +39,25 @@ from .symbols import (LaurentSymbol, SymbolVariant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalOperator", "Cone2", "ConeN", "ConeNormalForm",
-    "DEFAULT_SEED", "DegenerateCut", "DomainError", "EmptyCut",
-    "ExperimentReport", "FULL_PLANE", "FitRangeTooSmall", "FullPlane",
-    "GaussianRational", "GeneratorName", "HalfPlane", "Jet", "LaurentSymbol",
-    "NonzeroRemainder", "NotAdmissible", "NotCoprime", "NotElliptic",
-    "NotHomogeneous", "NotInCommutant", "NotSelfAdjoint", "OddJet", "Parity",
-    "Polynomial", "Rational", "SCHEMA", "Spectrum", "SymbolVariant",
-    "TruncatedMatrix", "Unimodular2", "WindowTooSmall", "WrongDegree",
+    "CanonicalOperator", "Cone2", "ConeNormalForm", "DEFAULT_SEED",
+    "DegenerateCut", "DomainError", "EmptyCut", "ExperimentReport",
+    "FULL_PLANE", "FitRangeTooSmall", "FullPlane", "GaussianRational",
+    "GeneratorName", "HalfPlane", "Jet", "LaurentSymbol", "NonzeroRemainder",
+    "NotAdmissible", "NotCoprime", "NotElliptic", "NotHomogeneous",
+    "NotInCommutant", "NotSelfAdjoint", "OddJet", "Parity", "Polynomial",
+    "SCHEMA", "Spectrum", "SymbolVariant", "Unimodular2", "WrongDegree",
     "ZeroOperator", "ZeroVector", "adjoint", "apply_unimodular", "bezout",
     "build_commuting_from_symbol", "commutant_factorize", "commutator",
-    "compose", "cone_from_normals", "contains", "cut_cone", "cut_coneN",
-    "cut_plan", "equivalence_witness", "exactness_witness",
-    "extends_smoothly", "gl_equivalent", "hermitian_eigenvalues",
-    "is_admissible", "lattice_index", "leading_symbol", "lens_cone",
-    "make_generator", "normal_form", "odd_monomials", "poisson_bracket",
-    "poly_divide_exact", "poly_eval", "poly_shift", "primitive",
+    "compose", "contains", "cut_cone", "cut_plan", "equivalence_witness",
+    "exactness_witness", "extends_smoothly", "gl_equivalent",
+    "hermitian_eigenvalues", "is_admissible", "lattice_index",
+    "leading_symbol", "lens_cone", "make_generator", "normal_form",
+    "odd_monomials", "poisson_bracket", "poly_divide_exact", "primitive",
     "projected_compression", "projected_spectrum", "pullback_jet",
     "pushforward_symbol", "raising_product", "rational_from_str",
-    "rational_to_str", "realize_matrix", "recompose_factors",
-    "require_self_adjoint", "required_vanishing", "residue_contour",
-    "residue_log_fit", "run_selftest", "selftest_rows", "shift_divisor",
-    "sphere_cone", "symbol_tower", "szego_commutator_entries",
-    "szego_commutes", "variant_for_parity", "verify_pk_identity",
-    "weyl_compare",
+    "rational_to_str", "recompose_factors", "require_self_adjoint",
+    "required_vanishing", "residue_contour", "residue_log_fit", "run_selftest",
+    "selftest_rows", "shift_divisor", "sphere_cone", "symbol_tower",
+    "szego_commutator_entries", "szego_commutes", "variant_for_parity",
+    "verify_pk_identity", "weyl_compare",
 ]

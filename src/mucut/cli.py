@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .cones import (FULL_PLANE, Cone2, cut_cone, cut_plan,
-                    equivalence_witness, lens_cone, normal_form, sphere_cone)
+                    equivalence_witness, lens_cone, normal_form)
 from .cutspace import Jet, extends_smoothly, odd_monomials, pullback_jet, \
     pushforward_symbol
 from .errors import DomainError
@@ -61,38 +61,27 @@ def _load_payload(text: str):
         raise MalformedInput(f"invalid JSON input: {exc}")
 
 
-def _parse_operator(data) -> CanonicalOperator:
+def _parse(cls, data, noun: str):
+    """``cls.from_json(data)``, with every shape or type error reported as
+    malformed input; domain errors pass through."""
     try:
-        return CanonicalOperator.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise MalformedInput(f"invalid operator object: {exc}")
+        return cls.from_json(data)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"invalid {noun} object: {exc}")
 
 
-def _parse_symbol(data) -> LaurentSymbol:
-    try:
-        return LaurentSymbol.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise MalformedInput(f"invalid symbol object: {exc}")
-
-
-def _parse_jet(data) -> Jet:
-    try:
-        return Jet.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise MalformedInput(f"invalid jet object: {exc}")
-
-
-def _parse_cone(data) -> Cone2:
-    """Cone payloads: {"generators": ...}, {"lens": [p, q]}, {"sphere": true}."""
-    if isinstance(data, dict) and data.get("sphere"):
-        return sphere_cone()
-    if isinstance(data, dict) and "lens" in data:
-        p, q = data["lens"]
-        return lens_cone(int(p), int(q))
-    try:
-        return Cone2.from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise MalformedInput(f"invalid cone object: {exc}")
+def _bounded_int(lowest: int):
+    """Argparse type for integers of at least ``lowest``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lowest}, got {value}")
+        return value
+    return parse
 
 
 def _scalar_str(value):
@@ -157,7 +146,7 @@ def _resolve_seed(value):
 
 
 def _cmd_commutant_check(args) -> int:
-    op = _parse_operator(_load_payload(args.input))
+    op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     parity = Parity(args.parity)
     entries = szego_commutator_entries(op, parity, window=args.window)
     payload = {
@@ -171,7 +160,7 @@ def _cmd_commutant_check(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    op = _parse_operator(_load_payload(args.input))
+    op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     parity = Parity(args.parity)
     factors = commutant_factorize(op, parity)
     payload = {
@@ -186,8 +175,6 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_identity_pk(args) -> int:
-    if args.max_k < 1:
-        raise MalformedInput("--max-k must be at least 1")
     failures = [k for k in range(1, args.max_k + 1)
                 if not verify_pk_identity(k)]
     payload = {
@@ -200,7 +187,7 @@ def _cmd_identity_pk(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    op = _parse_operator(_load_payload(args.input))
+    op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     parity = Parity(args.parity)
     spectrum = projected_spectrum(op, args.window, parity)
     payload = {
@@ -214,7 +201,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    op = _parse_operator(_load_payload(args.input))
+    op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     parity = Parity(args.parity)
     grid = None
     if args.grid_max is not None:
@@ -259,7 +246,7 @@ def _cmd_residue(args) -> int:
         raise MalformedInput(
             "give exactly one of: a symbol payload, --diagonal, --harmonic")
     if args.input:
-        sigma = _parse_symbol(_load_payload(args.input))
+        sigma = _parse(LaurentSymbol, _load_payload(args.input), "symbol")
         value = residue_contour(sigma)
         if isinstance(value, complex):
             reported = {"re": value.real, "im": value.imag}
@@ -278,7 +265,7 @@ def _cmd_residue(args) -> int:
 
 
 def _cmd_jet_extend(args) -> int:
-    jet = _parse_jet(_load_payload(args.input))
+    jet = _parse(Jet, _load_payload(args.input), "jet")
     payload = {
         "schema": SCHEMA,
         "extends": extends_smoothly(jet),
@@ -288,7 +275,7 @@ def _cmd_jet_extend(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    jet = _parse_jet(_load_payload(args.input))
+    jet = _parse(Jet, _load_payload(args.input), "jet")
     sigma = pullback_jet(jet, SymbolVariant(args.variant))
     payload = {
         "schema": SCHEMA,
@@ -299,7 +286,7 @@ def _cmd_pullback(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
-    sigma = _parse_symbol(_load_payload(args.input))
+    sigma = _parse(LaurentSymbol, _load_payload(args.input), "symbol")
     jet = pushforward_symbol(sigma, SymbolVariant(args.variant))
     payload = {
         "schema": SCHEMA,
@@ -320,7 +307,7 @@ def _cmd_cone_lens(args) -> int:
 
 
 def _cmd_cone_cut(args) -> int:
-    cone = _parse_cone(_load_payload(args.input))
+    cone = _parse(Cone2, _load_payload(args.input), "cone")
     result = cut_cone(cone, tuple(args.normal))
     payload = {
         "schema": SCHEMA,
@@ -335,8 +322,8 @@ def _cmd_cone_equiv(args) -> int:
     if not isinstance(data, dict) or "first" not in data or "second" not in data:
         raise MalformedInput(
             'cone-equiv expects {"first": <cone>, "second": <cone>}')
-    first = _parse_cone(data["first"])
-    second = _parse_cone(data["second"])
+    first = _parse(Cone2, data["first"], "cone")
+    second = _parse(Cone2, data["second"], "cone")
     form_first = normal_form(first)
     form_second = normal_form(second)
     witness = equivalence_witness(first, second)
@@ -351,7 +338,7 @@ def _cmd_cone_equiv(args) -> int:
 
 
 def _cmd_cone_plan(args) -> int:
-    cone = _parse_cone(_load_payload(args.input))
+    cone = _parse(Cone2, _load_payload(args.input), "cone")
     n_u, n_v = cut_plan(cone)
     rebuilt = cut_cone(cut_cone(FULL_PLANE, n_u), n_v)
     payload = {
@@ -413,7 +400,7 @@ def build_parser() -> _Parser:
                        help="test commutation with the projector")
     p.add_argument("input", help="operator JSON (inline, path, or -)")
     _add_parity_option(p)
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=_bounded_int(0), default=None,
                    help="truncate witness entries to this mode window")
     _add_io_options(p)
     p.set_defaults(handler=_cmd_commutant_check)
@@ -427,7 +414,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("identity-pk",
                        help="check the raising-power product identity")
-    p.add_argument("--max-k", type=int, default=10,
+    p.add_argument("--max-k", type=_bounded_int(1), default=10,
                    help="largest power to check (default %(default)s)")
     _add_io_options(p)
     p.set_defaults(handler=_cmd_identity_pk)
@@ -435,7 +422,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum",
                        help="eigenvalues of the projected compression")
     p.add_argument("input", help="operator JSON (inline, path, or -)")
-    p.add_argument("--window", type=int, required=True,
+    p.add_argument("--window", type=_bounded_int(0), required=True,
                    help="mode window for the compression")
     _add_parity_option(p)
     _add_io_options(p)
@@ -444,12 +431,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("weyl",
                        help="eigenvalue counting against sublevel measure")
     p.add_argument("input", help="operator JSON (inline, path, or -)")
-    p.add_argument("--window", type=int, default=4096,
+    p.add_argument("--window", type=_bounded_int(0), default=4096,
                    help="mode window (default %(default)s)")
     p.add_argument("--grid-max", type=float, default=None,
                    help="top of the threshold grid (default: symbol value "
                         "at half the window)")
-    p.add_argument("--grid-points", type=int, default=64,
+    p.add_argument("--grid-points", type=_bounded_int(1), default=64,
                    help="number of grid thresholds (default %(default)s)")
     _add_parity_option(p)
     _add_io_options(p)
@@ -494,8 +481,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_pushforward)
 
     p = sub.add_parser("cone-lens", help="standard lens cone and its invariant")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--p", type=_bounded_int(1), required=True)
+    p.add_argument("--q", type=_bounded_int(1), required=True)
     _add_io_options(p)
     p.set_defaults(handler=_cmd_cone_lens)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateCut, EmptyCut, NotCoprime
-from .exact import Unimodular2, Vec2, bezout, primitive
+from .exact import Unimodular2, Vec2, _strict_int, bezout, primitive
 
 
 def _det(u: Vec2, v: Vec2) -> int:
@@ -103,6 +103,16 @@ class Cone2:
 
     @classmethod
     def from_json(cls, data) -> "Cone2":
+        """Read ``{"generators": [u, v]}``, ``{"lens": [p, q]}`` or
+        ``{"sphere": true}``."""
+        if isinstance(data, dict) and data.get("sphere"):
+            return sphere_cone()
+        if isinstance(data, dict) and "lens" in data:
+            lens = data["lens"]
+            if not isinstance(lens, list) or len(lens) != 2:
+                raise ValueError(f"lens needs two parameters, got {lens!r}")
+            p, q = (_strict_int(c, "lens parameter") for c in lens)
+            return lens_cone(p, q)
         if (not isinstance(data, dict) or "generators" not in data
                 or len(data["generators"]) != 2):
             raise ValueError(f"not a two-generator cone object: {data!r}")
@@ -303,73 +313,6 @@ def cut_plan(cone: Cone2) -> tuple:
     if d > 0:
         n_v = (-n_v[0], -n_v[1])
     return n_u, n_v
-
-
-@dataclass(frozen=True)
-class ConeN:
-    """Cone in n dimensions, by inward half-space normals only.
-
-    The representation keeps every cut that was applied; duplicates are
-    dropped exactly, nothing else is simplified.
-    """
-
-    dimension: int
-    normals: tuple = ()
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        cleaned = []
-        for n in self.normals:
-            n = primitive(n)
-            if len(n) != self.dimension:
-                raise ValueError(
-                    f"normal {n} does not have dimension {self.dimension}")
-            if n not in cleaned:
-                cleaned.append(n)
-        object.__setattr__(self, "normals", tuple(cleaned))
-
-    def contains(self, w) -> bool:
-        w = tuple(int(c) for c in w)
-        return all(sum(a * b for a, b in zip(w, n)) >= 0
-                   for n in self.normals)
-
-    def to_json(self) -> dict:
-        return {"dimension": self.dimension,
-                "normals": [list(n) for n in self.normals]}
-
-    @classmethod
-    def from_json(cls, data) -> "ConeN":
-        if not isinstance(data, dict) or "dimension" not in data:
-            raise ValueError(f"not a half-space cone object: {data!r}")
-        return cls(int(data["dimension"]),
-                   tuple(tuple(int(c) for c in n)
-                         for n in data.get("normals", ())))
-
-
-def cut_coneN(cone: ConeN, normal) -> ConeN:
-    """Append one half-space constraint (exact duplicates are dropped)."""
-    normal = primitive(normal)
-    if len(normal) != cone.dimension:
-        raise ValueError(
-            f"normal {normal} does not have dimension {cone.dimension}")
-    return ConeN(cone.dimension, cone.normals + (normal,))
-
-
-def cone_from_normals(cone: ConeN) -> Cone2:
-    """Generator form of a two-normal planar cone (the cut-plan inverse)."""
-    if cone.dimension != 2 or len(cone.normals) != 2:
-        raise ValueError("generator form needs exactly two planar normals")
-    n1, n2 = cone.normals
-    if _det(n1, n2) == 0:
-        raise ValueError("normals are collinear; no strict cone")
-    gens = []
-    for mine, other in ((n1, n2), (n2, n1)):
-        d = _rot90(mine)
-        if _dot(d, other) < 0:
-            d = (-d[0], -d[1])
-        gens.append(d)
-    return Cone2(gens[0], gens[1])
 
 
 def lattice_index(cone: Cone2) -> int:

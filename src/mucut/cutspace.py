@@ -9,41 +9,40 @@ onto the admissible polynomial symbols.
 from __future__ import annotations
 
 from .errors import NotAdmissible, OddJet
-from .exact import GaussianRational, Polynomial
+from .exact import (GaussianRational, Polynomial, _as_gaussian,
+                    _merge_terms, _nonzero_terms, _scale_terms, _SCALARS,
+                    _strict_int, _term_sum, _TermMap, _terms_from_json,
+                    _terms_to_json)
 from .symbols import LaurentSymbol, SymbolVariant
 
 
-class Jet:
+class Jet(_TermMap):
     """Finite jet ``sum a_{k,l} z**k conj(z)**l`` with ``k + l <= dmax``.
 
     ``dmax`` is truncation capacity, not mathematical content: equality
     compares coefficient maps only.
     """
 
-    __slots__ = ("_dmax", "_coeffs")
+    __slots__ = ("_dmax",)
 
     def __init__(self, dmax: int, coeffs=None):
         dmax = int(dmax)
         if dmax < 0:
             raise ValueError("jet order bound must be nonnegative")
-        cleaned = {}
-        for (k, l), value in (coeffs or {}).items():
-            k, l = int(k), int(l)
+
+        def monomial(key):
+            k, l = (int(e) for e in key)
             if k < 0 or l < 0:
                 raise ValueError(f"monomial exponents must be nonnegative: "
                                  f"({k}, {l})")
             if k + l > dmax:
                 raise ValueError(f"monomial ({k}, {l}) exceeds order bound "
                                  f"{dmax}")
-            if not isinstance(value, GaussianRational):
-                value = GaussianRational(value)
-            if value:
-                cleaned[(k, l)] = value
-        object.__setattr__(self, "_dmax", dmax)
-        object.__setattr__(self, "_coeffs", cleaned)
+            return k, l
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
+        object.__setattr__(self, "_dmax", dmax)
+        object.__setattr__(self, "_terms",
+                           _nonzero_terms(coeffs, monomial, _as_gaussian))
 
     @property
     def dmax(self) -> int:
@@ -51,87 +50,61 @@ class Jet:
 
     @property
     def coeffs(self) -> dict:
-        return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return dict(self._terms)
 
     def coefficient(self, k: int, l: int) -> GaussianRational:
-        return self._coeffs.get((k, l), GaussianRational(0))
+        return self._terms.get((k, l), GaussianRational(0))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for key, value in other._coeffs.items():
-            merged[key] = merged.get(key, GaussianRational(0)) + value
-        return Jet(max(self._dmax, other._dmax), merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self + (-other)
+        return Jet(max(self._dmax, other._dmax),
+                   _merge_terms(self._terms, other._terms))
 
     def __neg__(self):
-        return Jet(self._dmax, {key: -v for key, v in self._coeffs.items()})
+        return Jet(self._dmax, _scale_terms(self._terms, -1))
 
     def __mul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            scalar = GaussianRational(other)
-            return Jet(self._dmax,
-                       {key: v * scalar for key, v in self._coeffs.items()})
+        if isinstance(other, _SCALARS):
+            return Jet(self._dmax, _scale_terms(self._terms, other))
         if not isinstance(other, Jet):
             return NotImplemented
-        out: dict[tuple, GaussianRational] = {}
-        for (k1, l1), v1 in self._coeffs.items():
-            for (k2, l2), v2 in other._coeffs.items():
-                key = (k1 + k2, l1 + l2)
-                out[key] = out.get(key, GaussianRational(0)) + v1 * v2
-        return Jet(self._dmax + other._dmax, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            return self * other
-        return NotImplemented
+        return Jet(self._dmax + other._dmax, _term_sum(
+            ((k1 + k2, l1 + l2), v1 * v2)
+            for (k1, l1), v1 in self._terms.items()
+            for (k2, l2), v2 in other._terms.items()))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._coeffs.items(),
+        return hash(tuple(sorted(self._terms.items(),
                                  key=lambda item: item[0])))
 
     def __repr__(self):
         inner = ", ".join(f"({k},{l}): {v}" for (k, l), v
-                          in sorted(self._coeffs.items()))
+                          in sorted(self._terms.items()))
         return f"Jet(dmax={self._dmax}, {{{inner}}})"
 
     def to_json(self) -> dict:
-        return {
-            "dmax": self._dmax,
-            "coeffs": [{"k": k, "l": l, "value": self._coeffs[(k, l)].to_json()}
-                       for (k, l) in sorted(self._coeffs)],
-        }
+        return {"dmax": self._dmax,
+                "coeffs": _terms_to_json(self._terms, ("k", "l"), "value")}
 
     @classmethod
     def from_json(cls, data) -> "Jet":
         if not isinstance(data, dict) or "dmax" not in data:
             raise ValueError(f"not a jet object: {data!r}")
-        coeffs: dict[tuple, GaussianRational] = {}
-        for item in data.get("coeffs", ()):
-            key = (item["k"], item["l"])
-            value = GaussianRational.from_json(item["value"])
-            if key in coeffs:
-                value = coeffs[key] + value
-            coeffs[key] = value
-        return cls(data["dmax"], coeffs)
+        return cls(_strict_int(data["dmax"], "jet order bound"),
+                   _terms_from_json(data.get("coeffs", ()), ("k", "l"),
+                                    "value", GaussianRational.from_json,
+                                    "monomial exponent"))
 
 
 def odd_monomials(jet: Jet) -> list:
     """Monomials of odd total degree with nonzero coefficient."""
-    return sorted((k, l) for (k, l) in jet._coeffs if (k + l) % 2)
+    return sorted((k, l) for (k, l) in jet._terms if (k + l) % 2)
 
 
 def extends_smoothly(jet: Jet) -> bool:
@@ -151,16 +124,10 @@ def pullback_jet(jet: Jet, variant: SymbolVariant) -> LaurentSymbol:
     if odd:
         raise OddJet("jet has odd-degree monomials and does not descend",
                      monomials=odd)
-    modes: dict[int, Polynomial] = {}
-    for (k, l), value in jet._coeffs.items():
-        power = (k + l) // 2
-        if variant is SymbolVariant.M_PLUS_EVEN:
-            mode = l - k
-        else:
-            mode = (l - k) // 2
-        addition = Polynomial.monomial(power, value)
-        modes[mode] = modes.get(mode, Polynomial.zero()) + addition
-    return LaurentSymbol(modes)
+    turns = 1 if variant is SymbolVariant.M_PLUS_EVEN else 2
+    return LaurentSymbol(_term_sum(
+        ((l - k) // turns, Polynomial.monomial((k + l) // 2, value))
+        for (k, l), value in jet._terms.items()))
 
 
 def pushforward_symbol(sigma: LaurentSymbol, variant: SymbolVariant) -> Jet:

@@ -32,10 +32,6 @@ class NotInCommutant(DomainError):
     code = "not-in-commutant"
 
 
-class WindowTooSmall(DomainError):
-    code = "window-too-small"
-
-
 class NotSelfAdjoint(DomainError):
     code = "not-self-adjoint"
 

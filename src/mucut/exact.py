@@ -11,11 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import NonzeroRemainder, ZeroVector
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -28,6 +27,8 @@ def rational_to_str(value: Fraction) -> str:
 
 def rational_from_str(text: str) -> Fraction:
     """Parse ``"num/den"`` or a bare integer string. Denominator 0 is rejected."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -414,16 +415,6 @@ def _coerce_poly(value):
     return None
 
 
-def poly_eval(p: Polynomial, x) -> GaussianRational:
-    """Evaluate ``p`` at ``x`` (Horner, exact)."""
-    return p(x)
-
-
-def poly_shift(p: Polynomial, offset) -> Polynomial:
-    """Return ``p(x + offset)``; exact, used by the composition rule."""
-    return p.shift(offset)
-
-
 def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
     """Divide ``p`` by ``divisor`` requiring a zero remainder.
 
@@ -435,6 +426,106 @@ def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
         raise NonzeroRemainder(
             f"division left remainder {remainder}", remainder=remainder)
     return quotient
+
+
+# --- sparse term maps ------------------------------------------------------
+#
+# Operators (shift -> Polynomial), symbols (mode -> Polynomial) and jets
+# (monomial exponents -> GaussianRational) are finite maps with the zero
+# values dropped. The base class and helpers below are their one shared
+# algebra and JSON form; the classes only add what they carry on top of the
+# terms.
+
+
+_SCALARS = (int, GaussianRational)
+
+
+class _TermMap:
+    """Immutable term map kept in ``_terms``. Subclasses define ``__add__``,
+    ``__neg__`` and ``__mul__``; subtraction and scalars from the left
+    follow from those."""
+
+    __slots__ = ("_terms",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self * other
+        return NotImplemented
+
+
+def _strict_int(value, noun: str) -> int:
+    """``value`` when it is a JSON integer; bools, floats and strings fail."""
+    if type(value) is not int:
+        raise ValueError(f"{noun} must be an integer, got {value!r}")
+    return value
+
+
+def _nonzero_terms(terms, key, value) -> dict:
+    """Normalize every key and value of a term map and drop zero values."""
+    out = {}
+    for k, v in (terms or {}).items():
+        k, v = key(k), value(v)
+        if v:
+            out[k] = v
+    return out
+
+
+def _term_sum(pairs) -> dict:
+    """Collect ``(key, value)`` pairs into a term map, adding equal keys."""
+    out = {}
+    for key, value in pairs:
+        out[key] = out[key] + value if key in out else value
+    return out
+
+
+def _merge_terms(a: dict, b: dict) -> dict:
+    return _term_sum(chain(a.items(), b.items()))
+
+
+def _scale_terms(terms: dict, scalar) -> dict:
+    return {k: v * scalar for k, v in terms.items()}
+
+
+def _terms_to_json(terms: dict, fields, value_field: str) -> list:
+    """``[{field: key, ..., value_field: value}, ...]`` in key order."""
+    return [{**dict(zip(fields, key if isinstance(key, tuple) else (key,))),
+             value_field: terms[key].to_json()}
+            for key in sorted(terms)]
+
+
+def _terms_from_json(items, fields, value_field: str, parse_value,
+                     noun: str) -> dict:
+    """Inverse of :func:`_terms_to_json`; repeated keys are summed.
+
+    Every key field must be a JSON integer; ``noun`` names it in errors.
+    """
+    pairs = []
+    for item in items:
+        key = tuple(_strict_int(item[f], noun) for f in fields)
+        pairs.append((key if len(key) > 1 else key[0],
+                      parse_value(item[value_field])))
+    return _term_sum(pairs)
+
+
+def _as_polynomial(value) -> Polynomial:
+    return value if isinstance(value, Polynomial) else Polynomial(value)
+
+
+def _as_gaussian(value) -> GaussianRational:
+    if isinstance(value, GaussianRational):
+        return value
+    return GaussianRational(value)
 
 
 # --- integer lattice -------------------------------------------------------
@@ -488,10 +579,6 @@ class Unimodular2:
         object.__setattr__(self, "rows", rows)
         if self.det not in (1, -1):
             raise ValueError(f"determinant {self.det} is not a unit")
-
-    @classmethod
-    def from_rows(cls, r0, r1) -> "Unimodular2":
-        return cls((tuple(r0), tuple(r1)))
 
     @classmethod
     def identity(cls) -> "Unimodular2":

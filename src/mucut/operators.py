@@ -4,22 +4,19 @@ An operator is a finite sum of terms ``(k, q)`` acting on Fourier modes by
 ``e(n) -> q(n) * e(n + k)`` where ``e(n)`` is the n-th exponential mode. The
 module provides the generator set, composition and adjoint in this normal
 form, the exact commutation criteria against the Szego projector (full and
-even-mode variants), the sparse commutator kernel, the commutant
-factorization, and float realizations on finite mode windows.
+even-mode variants), the sparse commutator kernel and the commutant
+factorization.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
-from .errors import NotInCommutant, NotSelfAdjoint, WindowTooSmall
-from .exact import GaussianRational, Polynomial, poly_shift
-
-_Scalar = (int, GaussianRational)
+from .errors import NotInCommutant, NotSelfAdjoint
+from .exact import (Polynomial, _as_polynomial, _merge_terms, _nonzero_terms,
+                    _scale_terms, _SCALARS, _term_sum, _TermMap,
+                    _terms_from_json, _terms_to_json, poly_divide_exact)
 
 
 class Parity(enum.Enum):
@@ -41,26 +38,18 @@ class GeneratorName(enum.Enum):
     LOWER_EVEN = "LowerEven"
 
 
-class CanonicalOperator:
+class CanonicalOperator(_TermMap):
     """Finite sum of shift-by-k terms with polynomial mode coefficients.
 
     Immutable. Terms with zero polynomial are dropped on construction, so two
     operators are equal iff their term maps are equal.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        cleaned = {}
-        for k, poly in (terms or {}).items():
-            if not isinstance(poly, Polynomial):
-                poly = Polynomial(poly)
-            if not poly.is_zero():
-                cleaned[int(k)] = poly
-        object.__setattr__(self, "_terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalOperator is immutable")
+        object.__setattr__(self, "_terms",
+                           _nonzero_terms(terms, int, _as_polynomial))
 
     @property
     def terms(self):
@@ -73,9 +62,6 @@ class CanonicalOperator:
     @classmethod
     def identity(cls) -> "CanonicalOperator":
         return cls({0: Polynomial.one()})
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def bandwidth(self) -> int:
@@ -103,31 +89,16 @@ class CanonicalOperator:
     def __add__(self, other):
         if not isinstance(other, CanonicalOperator):
             return NotImplemented
-        merged = dict(self._terms)
-        for k, poly in other._terms.items():
-            merged[k] = merged.get(k, Polynomial.zero()) + poly
-        return CanonicalOperator(merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, CanonicalOperator):
-            return NotImplemented
-        return self + (-other)
+        return CanonicalOperator(_merge_terms(self._terms, other._terms))
 
     def __neg__(self):
-        return CanonicalOperator({k: -p for k, p in self._terms.items()})
+        return CanonicalOperator(_scale_terms(self._terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, CanonicalOperator):
             return compose(self, other)
-        if isinstance(other, _Scalar):
-            scalar = GaussianRational(other)
-            return CanonicalOperator(
-                {k: p * scalar for k, p in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, _Scalar):
-            return self * other
+        if isinstance(other, _SCALARS):
+            return CanonicalOperator(_scale_terms(self._terms, other))
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -159,23 +130,14 @@ class CanonicalOperator:
         return f"CanonicalOperator({{{inner}}})"
 
     def to_json(self) -> dict:
-        return {"terms": [{"k": k, "poly": self._terms[k].to_json()}
-                          for k in sorted(self._terms)]}
+        return {"terms": _terms_to_json(self._terms, ("k",), "poly")}
 
     @classmethod
     def from_json(cls, data) -> "CanonicalOperator":
         if not isinstance(data, dict) or "terms" not in data:
             raise ValueError(f"not an operator object: {data!r}")
-        terms = {}
-        for item in data["terms"]:
-            k = item["k"]
-            if not isinstance(k, int):
-                raise ValueError(f"shift must be an integer, got {k!r}")
-            poly = Polynomial.from_json(item["poly"])
-            if k in terms:
-                poly = terms[k] + poly
-            terms[k] = poly
-        return cls(terms)
+        return cls(_terms_from_json(data["terms"], ("k",), "poly",
+                                    Polynomial.from_json, "shift"))
 
 
 def compose(a: CanonicalOperator, b: CanonicalOperator) -> CanonicalOperator:
@@ -183,13 +145,9 @@ def compose(a: CanonicalOperator, b: CanonicalOperator) -> CanonicalOperator:
 
     Single terms combine by ``(k, p) . (l, q) = (k + l, p(x + l) * q(x))``.
     """
-    out: dict[int, Polynomial] = {}
-    for k, p in a.terms.items():
-        for l, q in b.terms.items():
-            term = poly_shift(p, l) * q
-            key = k + l
-            out[key] = out.get(key, Polynomial.zero()) + term
-    return CanonicalOperator(out)
+    return CanonicalOperator(_term_sum(
+        (k + l, p.shift(l) * q)
+        for k, p in a._terms.items() for l, q in b._terms.items()))
 
 
 def commutator(a: CanonicalOperator, b: CanonicalOperator) -> CanonicalOperator:
@@ -198,12 +156,8 @@ def commutator(a: CanonicalOperator, b: CanonicalOperator) -> CanonicalOperator:
 
 def adjoint(a: CanonicalOperator) -> CanonicalOperator:
     """Formal adjoint on the mode basis: ``(k, q) -> (-k, conj(q)(x - k))``."""
-    out: dict[int, Polynomial] = {}
-    for k, q in a.terms.items():
-        term = poly_shift(q.conjugate(), -k)
-        key = -k
-        out[key] = out.get(key, Polynomial.zero()) + term
-    return CanonicalOperator(out)
+    return CanonicalOperator(
+        {-k: q.conjugate().shift(-k) for k, q in a._terms.items()})
 
 
 def make_generator(name: GeneratorName | str) -> CanonicalOperator:
@@ -233,7 +187,7 @@ def raising_product(k: int) -> Polynomial:
     """The exact polynomial carried by the k-th raising power: (x+1)...(x+k)."""
     if k < 0:
         raise ValueError("raising power must be nonnegative")
-    return Polynomial.from_roots(range(-1, -k - 1, -1))
+    return shift_divisor(k, Parity.FULL)
 
 
 def verify_pk_identity(k: int) -> bool:
@@ -244,69 +198,42 @@ def verify_pk_identity(k: int) -> bool:
     return power == CanonicalOperator({k: raising_product(k)})
 
 
-def shift_divisor(k: int, parity: Parity) -> Polynomial:
-    """Canonical divisor of the k-shift coefficient inside the commutant.
-
-    Its roots are exactly the mode indices where a commuting operator's k-th
-    polynomial must vanish, so membership in the commutant is equivalent to
-    exact divisibility by this polynomial.
-    """
-    parity = Parity(parity)
-    if k == 0:
-        return Polynomial.one()
-    if parity is Parity.FULL:
-        if k > 0:
-            return Polynomial.from_roots(range(-1, -k - 1, -1))
-        return Polynomial.from_roots(range(0, -k))
-    if k % 2:
-        raise ValueError("odd shifts do not occur in the even commutant")
-    j = abs(k) // 2
-    if k > 0:
-        return Polynomial.from_roots(range(-2, -2 * j - 1, -2))
-    return Polynomial.from_roots(range(0, 2 * j, 2))
-
-
-def required_vanishing(k: int, parity: Parity, *,
-                       uniform_negative_range: bool = False):
+def required_vanishing(k: int, parity: Parity):
     """Mode indices where the k-shift polynomial of a commuting operator
     must vanish. ``None`` means the whole polynomial must be zero (odd
     shifts against the even projector).
 
-    ``uniform_negative_range`` switches negative shifts to the mirrored
-    index range ``{-|k|, ..., -1}``. That variant is wrong (the lowering
-    generators themselves fail it); it exists as a diagnostic so the
-    selftest can demonstrate the divergence against the matrix oracle.
+    These are the retained-parity modes that the shift carries across
+    zero. This is the one table of the commutation criterion: the
+    divisors, the commutator entries and symbol admissibility all read it.
     """
-    parity = Parity(parity)
-    if k == 0:
-        return []
-    if parity is Parity.FULL:
-        if k > 0:
-            return list(range(-k, 0))
-        if uniform_negative_range:
-            return list(range(k, 0))
-        return list(range(0, -k))
-    if k % 2:
+    step = 1 if Parity(parity) is Parity.FULL else 2
+    if k % step:
         return None
-    j = abs(k) // 2
     if k > 0:
-        return list(range(-2 * j, 0, 2))
-    if uniform_negative_range:
-        return list(range(-2 * j, 0, 2))
-    return list(range(0, 2 * j, 2))
+        return list(range(-k, 0, step))
+    return list(range(0, -k, step))
 
 
-def szego_commutes(a: CanonicalOperator, parity: Parity = Parity.FULL, *,
-                   uniform_negative_range: bool = False) -> bool:
+def shift_divisor(k: int, parity: Parity) -> Polynomial:
+    """Canonical divisor of the k-shift coefficient inside the commutant.
+
+    Its roots are exactly :func:`required_vanishing`, so membership in the
+    commutant is equivalent to exact divisibility by this polynomial.
+    """
+    roots = required_vanishing(k, parity)
+    if roots is None:
+        raise ValueError("odd shifts do not occur in the even commutant")
+    return Polynomial.from_roots(roots)
+
+
+def szego_commutes(a: CanonicalOperator,
+                   parity: Parity = Parity.FULL) -> bool:
     """Exact commutation test against the projector, term by term."""
-    for k, q in a.terms.items():
-        where = required_vanishing(
-            k, parity, uniform_negative_range=uniform_negative_range)
-        if where is None:
+    for k, q in a._terms.items():
+        where = required_vanishing(k, parity)
+        if where is None or any(q(n) for n in where):
             return False
-        for n in where:
-            if q(n):
-                return False
     return True
 
 
@@ -322,18 +249,12 @@ def szego_commutator_entries(a: CanonicalOperator,
     (default: enough candidates to witness every nonzero term). The list is
     empty iff the operator commutes with the projector.
     """
-    parity = Parity(parity)
+    if window is not None and window < 0:
+        raise ValueError("window must be nonnegative")
     entries = []
-    for k, q in sorted(a.terms.items()):
-        if k == 0:
-            continue
-        sign = 1 if k > 0 else -1
-        if parity is Parity.FULL:
-            columns = range(-k, 0) if k > 0 else range(0, -k)
-        elif k % 2 == 0:
-            j = abs(k) // 2
-            columns = range(-2 * j, 0, 2) if k > 0 else range(0, 2 * j, 2)
-        else:
+    for k, q in sorted(a._terms.items()):
+        columns = required_vanishing(k, parity)
+        if columns is None:
             # Odd shift against the even projector: entries at every even
             # column n >= 0 (sign -) and every odd column n with
             # n + k >= 0 (sign +). Infinite support; truncate honestly.
@@ -352,6 +273,7 @@ def szego_commutator_entries(a: CanonicalOperator,
                 entry_sign = -1 if n % 2 == 0 else 1
                 entries.append((n + k, n, entry_sign * value))
             continue
+        sign = 1 if k > 0 else -1
         for n in columns:
             if window is not None and not (abs(n) <= window
                                            and abs(n + k) <= window):
@@ -371,8 +293,6 @@ def commutant_factorize(a: CanonicalOperator,
     reproducing the stored polynomial exactly. Raises
     :class:`NotInCommutant` when the operator does not commute.
     """
-    from .exact import poly_divide_exact
-
     parity = Parity(parity)
     if not szego_commutes(a, parity):
         raise NotInCommutant(
@@ -385,51 +305,6 @@ def recompose_factors(factors: dict, parity: Parity) -> CanonicalOperator:
     """Inverse of :func:`commutant_factorize`."""
     return CanonicalOperator(
         {k: r * shift_divisor(k, parity) for k, r in factors.items()})
-
-
-@dataclass(frozen=True)
-class TruncatedMatrix:
-    """Dense float realization of an operator on modes ``-window..window``.
-
-    ``entries[i, j]`` is the coefficient from mode ``j - window`` to mode
-    ``i - window``. Truncation corrupts nothing inside the interior window
-    ``[-window + bandwidth, window - bandwidth]``; claims of exactness are
-    only ever made there.
-    """
-
-    window: int
-    bandwidth: int
-    entries: np.ndarray
-
-    @property
-    def modes(self) -> range:
-        return range(-self.window, self.window + 1)
-
-    def index(self, mode: int) -> int:
-        if not -self.window <= mode <= self.window:
-            raise IndexError(f"mode {mode} outside window {self.window}")
-        return mode + self.window
-
-    def interior_modes(self) -> range:
-        lo = -self.window + self.bandwidth
-        hi = self.window - self.bandwidth
-        return range(lo, hi + 1)
-
-
-def realize_matrix(a: CanonicalOperator, window: int) -> TruncatedMatrix:
-    """Realize the operator as a dense complex matrix on a mode window."""
-    if window < a.bandwidth:
-        raise WindowTooSmall(
-            f"window {window} smaller than operator bandwidth {a.bandwidth}")
-    size = 2 * window + 1
-    entries = np.zeros((size, size), dtype=complex)
-    for k, poly in a.terms.items():
-        for n in range(-window, window + 1):
-            m = n + k
-            if -window <= m <= window:
-                entries[m + window, n + window] = complex(poly(n))
-    return TruncatedMatrix(window=window, bandwidth=a.bandwidth,
-                           entries=entries)
 
 
 def require_self_adjoint(a: CanonicalOperator) -> None:

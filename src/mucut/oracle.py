@@ -16,7 +16,7 @@ from random import Random
 from .cones import Cone2
 from .cutspace import Jet
 from .exact import GaussianRational, Polynomial, Unimodular2
-from .operators import CanonicalOperator, Parity, shift_divisor
+from .operators import CanonicalOperator, Parity
 from .symbols import LaurentSymbol, SymbolVariant
 
 
@@ -25,6 +25,14 @@ def projected_mode(n: int, parity: Parity) -> bool:
     if n < 0:
         return False
     return Parity(parity) is Parity.FULL or n % 2 == 0
+
+
+def _leak_divisor(k: int, parity: Parity) -> Polynomial:
+    """Monic polynomial whose roots are the modes the k-shift carries across
+    the projector, found by testing every mode that could cross."""
+    return Polynomial.from_roots(
+        n for n in range(-abs(k), abs(k))
+        if projected_mode(n, parity) != projected_mode(n + k, parity))
 
 
 def _int_pairs(poly: Polynomial):
@@ -150,14 +158,18 @@ def random_commuting_operator(rng: Random, parity: Parity,
                               max_shift: int = 4, max_degree: int = 6,
                               bound: int = 9,
                               max_terms: int = 3) -> CanonicalOperator:
-    """Random member of the commutant, planted via the divisor route."""
+    """Random member of the commutant, planted via the divisor route.
+
+    The divisor comes from :func:`_leak_divisor`, not from the criterion's
+    table, so the members stay independent of what they are checked
+    against."""
     parity = Parity(parity)
     step = 1 if parity is Parity.FULL else 2
     pool = list(range(-max_shift, max_shift + 1, step))
     shifts = rng.sample(pool, rng.randint(1, max_terms))
     terms = {}
     for k in shifts:
-        divisor = shift_divisor(k, parity)
+        divisor = _leak_divisor(k, parity)
         room = max(0, max_degree - (divisor.degree or 0))
         terms[k] = random_polynomial(rng, room, bound) * divisor
     return CanonicalOperator(terms)

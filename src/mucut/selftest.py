@@ -23,8 +23,9 @@ from .errors import DegenerateCut, EmptyCut, NotInCommutant, OddJet
 from .exact import GaussianRational, Polynomial, Unimodular2
 from .operators import (CanonicalOperator, Parity, commutant_factorize,
                         commutator, compose, make_generator,
-                        recompose_factors, szego_commutator_entries,
-                        szego_commutes, verify_pk_identity)
+                        recompose_factors, required_vanishing,
+                        szego_commutator_entries, szego_commutes,
+                        verify_pk_identity)
 from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
@@ -92,7 +93,22 @@ def _row_reversed_even_lowering(rng: Random):
     return True, "reversed-order even lowering rejected with mode-0 witness"
 
 
-def _run_agreement(rng: Random, samples: int, *, uniform: bool):
+def _mirrored_vanishing(k: int, parity: Parity):
+    """The deliberately wrong diagnostic rule: a negative shift takes the
+    vanishing set of the positive shift of the same size."""
+    return required_vanishing(abs(k), parity)
+
+
+def _mirrored_commutes(a: CanonicalOperator, parity: Parity) -> bool:
+    """:func:`szego_commutes` run on the mirrored table."""
+    for k, q in a.terms.items():
+        where = _mirrored_vanishing(k, parity)
+        if where is None or any(q(n) for n in where):
+            return False
+    return True
+
+
+def _run_agreement(rng: Random, samples: int, criterion):
     window = 32
     mismatches = []
     for i in range(samples):
@@ -101,16 +117,13 @@ def _run_agreement(rng: Random, samples: int, *, uniform: bool):
             op = random_commuting_operator(rng, parity)
         else:
             op = random_operator(rng)
-        criterion = szego_commutes(op, parity,
-                                   uniform_negative_range=uniform)
-        matrix = matrix_commutes(op, window, parity)
-        if criterion != matrix:
+        if criterion(op, parity) != matrix_commutes(op, window, parity):
             mismatches.append(f"sample {i} ({parity.value})")
     return mismatches
 
 
 def _row_commutation_criterion(rng: Random):
-    mismatches = _run_agreement(rng, 60, uniform=False)
+    mismatches = _run_agreement(rng, 60, szego_commutes)
     if mismatches:
         return False, ("criterion disagrees with the window-32 matrix "
                        "route: " + ", ".join(mismatches[:4]))
@@ -120,10 +133,10 @@ def _row_commutation_criterion(rng: Random):
 def _row_uniform_range(rng: Random):
     lower = make_generator("Lower")
     mismatches = []
-    if (szego_commutes(lower, Parity.FULL, uniform_negative_range=True)
+    if (_mirrored_commutes(lower, Parity.FULL)
             != matrix_commutes(lower, 32, Parity.FULL)):
         mismatches.append("Lower generator")
-    mismatches += _run_agreement(rng, 30, uniform=True)
+    mismatches += _run_agreement(rng, 30, _mirrored_commutes)
     if mismatches:
         return False, ("mirrored negative-shift ranges diverge from the "
                        "matrix route: " + ", ".join(mismatches[:4]))

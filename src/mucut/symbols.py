@@ -10,14 +10,16 @@ consumes.
 
 from __future__ import annotations
 
-from .errors import (NotAdmissible, NotHomogeneous, NotInCommutant,
-                     ZeroOperator)
-from .exact import GaussianRational, Polynomial
-from .operators import CanonicalOperator, Parity, shift_divisor, szego_commutes
-
 import enum
 
-_Scalar = (int, GaussianRational)
+from .errors import (NotAdmissible, NotHomogeneous, NotInCommutant,
+                     ZeroOperator)
+from .exact import (GaussianRational, Polynomial, _as_polynomial,
+                    _merge_terms, _nonzero_terms, _scale_terms, _SCALARS,
+                    _strict_int, _term_sum, _TermMap, _terms_from_json,
+                    _terms_to_json)
+from .operators import (CanonicalOperator, Parity, required_vanishing,
+                        shift_divisor, szego_commutes)
 
 
 class SymbolVariant(enum.Enum):
@@ -33,23 +35,22 @@ class SymbolVariant(enum.Enum):
     M_PLUS_EVEN = "m+even"
 
 
+_PARITY = {SymbolVariant.M_PLUS_PLUS: Parity.FULL,
+           SymbolVariant.M_PLUS_EVEN: Parity.EVEN}
+
+
 def variant_for_parity(parity: Parity) -> SymbolVariant:
     return (SymbolVariant.M_PLUS_PLUS if Parity(parity) is Parity.FULL
             else SymbolVariant.M_PLUS_EVEN)
 
 
-class LaurentSymbol:
+class LaurentSymbol(_TermMap):
     """Finite angular-mode expansion with polynomial radial parts."""
 
-    __slots__ = ("_modes", "_degree")
+    __slots__ = ("_degree",)
 
     def __init__(self, modes=None, *, degree: int | None = None):
-        cleaned = {}
-        for k, poly in (modes or {}).items():
-            if not isinstance(poly, Polynomial):
-                poly = Polynomial(poly)
-            if not poly.is_zero():
-                cleaned[int(k)] = poly
+        cleaned = _nonzero_terms(modes, int, _as_polynomial)
         if not cleaned:
             degree = None
         elif degree is None:
@@ -65,11 +66,8 @@ class LaurentSymbol:
                 if poly.degree != degree or _monomial_degree(poly) != degree:
                     raise ValueError(
                         f"mode {k} is not a degree-{degree} monomial")
-        object.__setattr__(self, "_modes", cleaned)
+        object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_degree", degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSymbol is immutable")
 
     @classmethod
     def zero(cls) -> "LaurentSymbol":
@@ -92,24 +90,21 @@ class LaurentSymbol:
 
     @property
     def modes(self) -> dict:
-        return dict(self._modes)
+        return dict(self._terms)
 
     @property
     def degree(self) -> int | None:
         """Homogeneity degree, or ``None`` when mixed or zero."""
         return self._degree
 
-    def is_zero(self) -> bool:
-        return not self._modes
-
     def coefficient(self, k: int) -> Polynomial:
-        return self._modes.get(k, Polynomial.zero())
+        return self._terms.get(k, Polynomial.zero())
 
     def homogeneous_coefficient(self, k: int) -> GaussianRational:
         """Bare coefficient of mode k for a degree-tagged symbol."""
         if self._degree is None:
             raise NotHomogeneous("symbol carries no homogeneity degree")
-        poly = self._modes.get(k)
+        poly = self._terms.get(k)
         if poly is None:
             return GaussianRational(0)
         return poly.coefficients[-1]
@@ -118,84 +113,56 @@ class LaurentSymbol:
         if not isinstance(other, LaurentSymbol):
             return NotImplemented
         _require_polynomial(self, other)
-        merged = dict(self._modes)
-        for k, poly in other._modes.items():
-            merged[k] = merged.get(k, Polynomial.zero()) + poly
-        return LaurentSymbol(merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSymbol):
-            return NotImplemented
-        return self + (-other)
+        return LaurentSymbol(_merge_terms(self._terms, other._terms))
 
     def __neg__(self):
-        return LaurentSymbol({k: -p for k, p in self._modes.items()},
+        return LaurentSymbol(_scale_terms(self._terms, -1),
                              degree=self._degree)
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
-            scalar = GaussianRational(other)
-            if not scalar:
-                return LaurentSymbol.zero()
-            return LaurentSymbol(
-                {k: p * scalar for k, p in self._modes.items()},
-                degree=self._degree)
+        if isinstance(other, _SCALARS):
+            return LaurentSymbol(_scale_terms(self._terms, other),
+                                 degree=self._degree)
         if not isinstance(other, LaurentSymbol):
             return NotImplemented
         _require_polynomial(self, other)
-        out: dict[int, Polynomial] = {}
-        for k, p in self._modes.items():
-            for l, q in other._modes.items():
-                key = k + l
-                out[key] = out.get(key, Polynomial.zero()) + p * q
-        return LaurentSymbol(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, _Scalar):
-            return self * other
-        return NotImplemented
+        return LaurentSymbol(_term_sum(
+            (k + l, p * q)
+            for k, p in self._terms.items() for l, q in other._terms.items()))
 
     def conjugate_reflect(self) -> "LaurentSymbol":
         """Complex-conjugate coefficients and reflect modes ``k -> -k``;
         the symbol-level image of the operator adjoint."""
         return LaurentSymbol(
-            {-k: p.conjugate() for k, p in self._modes.items()},
+            {-k: p.conjugate() for k, p in self._terms.items()},
             degree=self._degree)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSymbol):
             return NotImplemented
-        return self._modes == other._modes and self._degree == other._degree
+        return self._terms == other._terms and self._degree == other._degree
 
     def __hash__(self):
-        return hash((tuple(sorted(self._modes.items())), self._degree))
+        return hash((tuple(sorted(self._terms.items())), self._degree))
 
     def __repr__(self):
-        inner = ", ".join(f"{k}: {p}" for k, p in sorted(self._modes.items()))
+        inner = ", ".join(f"{k}: {p}" for k, p in sorted(self._terms.items()))
         return f"LaurentSymbol({{{inner}}}, degree={self._degree})"
 
     def to_json(self) -> dict:
-        return {
-            "degree": self._degree,
-            "modes": [{"k": k, "poly": self._modes[k].to_json()}
-                      for k in sorted(self._modes)],
-        }
+        return {"degree": self._degree,
+                "modes": _terms_to_json(self._terms, ("k",), "poly")}
 
     @classmethod
     def from_json(cls, data) -> "LaurentSymbol":
         if not isinstance(data, dict) or "modes" not in data:
             raise ValueError(f"not a symbol object: {data!r}")
         degree = data.get("degree")
-        modes: dict[int, Polynomial] = {}
-        for item in data["modes"]:
-            k = item["k"]
-            if not isinstance(k, int):
-                raise ValueError(f"mode must be an integer, got {k!r}")
-            poly = Polynomial.from_json(item["poly"])
-            if k in modes:
-                poly = modes[k] + poly
-            modes[k] = poly
-        return cls(modes, degree=degree)
+        if degree is not None:
+            _strict_int(degree, "degree")
+        return cls(_terms_from_json(data["modes"], ("k",), "poly",
+                                    Polynomial.from_json, "mode"),
+                   degree=degree)
 
 
 def _monomial_degree(poly: Polynomial):
@@ -248,9 +215,11 @@ def is_admissible(sigma: LaurentSymbol, variant: SymbolVariant) -> bool:
         raise NotHomogeneous("admissibility is defined for homogeneous symbols")
     if m < 0:
         return False
-    if variant is SymbolVariant.M_PLUS_PLUS:
-        return all(m >= abs(k) for k in sigma.modes)
-    return all(k % 2 == 0 and m >= abs(k) // 2 for k in sigma.modes)
+    for k in sigma.modes:
+        where = required_vanishing(k, _PARITY[variant])
+        if where is None or m < len(where):
+            return False
+    return True
 
 
 def build_commuting_from_symbol(sigma: LaurentSymbol,
@@ -282,17 +251,12 @@ def poisson_bracket(f: LaurentSymbol, g: LaurentSymbol) -> LaurentSymbol:
     """Bracket induced by ``ds ^ dt``: ``{f, g} = f_s g_t - f_t g_s``,
     with the angular derivative acting as ``i*k`` on mode k."""
     _require_polynomial(f, g)
-    out: dict[int, Polynomial] = {}
-    for k, p in f.modes.items():
-        dp = p.derivative()
-        for l, q in g.modes.items():
-            dq = q.derivative()
-            term = dp * q * GaussianRational(0, l) - p * dq * GaussianRational(0, k)
-            if term.is_zero():
-                continue
-            key = k + l
-            out[key] = out.get(key, Polynomial.zero()) + term
-    return LaurentSymbol(out)
+    df = {k: p.derivative() for k, p in f._terms.items()}
+    dg = {l: q.derivative() for l, q in g._terms.items()}
+    return LaurentSymbol(_term_sum(
+        (k + l, df[k] * q * GaussianRational(0, l)
+         - p * dg[l] * GaussianRational(0, k))
+        for k, p in f._terms.items() for l, q in g._terms.items()))
 
 
 def exactness_witness(a: CanonicalOperator, parity: Parity = Parity.FULL):

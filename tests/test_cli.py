@@ -25,6 +25,69 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def assert_one_line_error(code, out, err, needle):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mucut") and err.count("\n") == 1
+    assert needle in err
+
+
+ONE = '{"re": "1/1", "im": "0/1"}'
+X = f'[{{"re": "0/1", "im": "0/1"}}, {ONE}]'
+
+
+def shift_payload(k):
+    return f'{{"terms": [{{"k": {k}, "poly": [{ONE}]}}]}}'
+
+
+def jet_payload(k, dmax="3"):
+    return (f'{{"dmax": {dmax}, "coeffs": [{{"k": {k}, "l": 0, '
+            f'"value": {ONE}}}]}}')
+
+
+def symbol_payload(k, degree="1"):
+    return f'{{"degree": {degree}, "modes": [{{"k": {k}, "poly": {X}}}]}}'
+
+
+MALFORMED_PAYLOADS = [
+    pytest.param("factorize", '{"terms": [{"k": 1, "poly": [{"re": 1}]}]}',
+                 "operator", id="operator-number-coefficient"),
+    pytest.param("factorize", '{"terms": [{"k": 1, "poly": [{"re": "1/0"}]}]}',
+                 "operator", id="operator-zero-denominator"),
+    pytest.param("jet-extend", jet_payload("1.7"), "jet", id="jet-float-k"),
+    pytest.param("jet-extend", jet_payload("true"), "jet", id="jet-bool-k"),
+    pytest.param("jet-extend", jet_payload('"1"'), "jet", id="jet-str-k"),
+    pytest.param("pullback", jet_payload("2", dmax="true"), "jet",
+                 id="jet-bool-dmax"),
+    pytest.param("pullback", jet_payload("2", dmax="3.0"), "jet",
+                 id="jet-float-dmax"),
+    pytest.param("pushforward", symbol_payload("true"), "symbol",
+                 id="symbol-bool-mode"),
+    pytest.param("pushforward", symbol_payload("1.0"), "symbol",
+                 id="symbol-float-mode"),
+    pytest.param("pushforward", symbol_payload("0", degree="true"), "symbol",
+                 id="symbol-bool-degree"),
+    pytest.param("pushforward", symbol_payload("0", degree='"1"'), "symbol",
+                 id="symbol-str-degree"),
+    pytest.param("cone-plan", '{"lens": [1]}', "cone", id="lens-one-param"),
+    pytest.param("cone-plan", '{"lens": [0, 1]}', "cone", id="lens-zero"),
+    pytest.param("cone-plan", '{"lens": ["a", 1]}', "cone", id="lens-str"),
+    pytest.param("cone-equiv",
+                 '{"first": {"lens": [true, 1]}, "second": {"sphere": true}}',
+                 "cone", id="lens-bool"),
+]
+
+OUT_OF_RANGE_ARGS = [
+    pytest.param(("spectrum", DIAG, "--window", "-1"), id="spectrum-window"),
+    pytest.param(("weyl", DIAG, "--window", "-1"), id="weyl-window"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-points", "0"),
+                 id="weyl-grid-points"),
+    pytest.param(("commutant-check", RAISE, "--parity", "even",
+                  "--window", "-5"), id="commutant-check-window"),
+    pytest.param(("cone-lens", "--p", "0", "--q", "1"), id="cone-lens-p"),
+]
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, _, _ = run(capsys, "identity-pk", "--max-k", "3")
@@ -40,6 +103,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "commutant-check", '{"nope": 1}')
         assert code == 1
         assert "terms" in err or "operator" in err
+        for shift in ("true", "1.0", '"1"'):
+            code, out, err = run(capsys, "commutant-check",
+                                 shift_payload(shift))
+            assert_one_line_error(code, out, err, "shift must be an integer")
+
+    @pytest.mark.parametrize("subcommand,payload,noun", MALFORMED_PAYLOADS)
+    def test_malformed_payload(self, capsys, subcommand, payload, noun):
+        assert_one_line_error(*run(capsys, subcommand, payload),
+                              f"invalid {noun} object")
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGS)
+    def test_out_of_range_argument(self, capsys, argv):
+        assert_one_line_error(*run(capsys, *argv), "must be at least")
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "identity-pk", "--bogus")
@@ -202,6 +278,9 @@ class TestCones:
 
     def test_cone_lens_coprime_gate(self, capsys):
         code, payload = run_json(capsys, "cone-lens", "--p", "4", "--q", "2")
+        assert code == 2
+        assert payload["error"] == "not-coprime"
+        code, payload = run_json(capsys, "cone-plan", '{"lens": [4, 2]}')
         assert code == 2
         assert payload["error"] == "not-coprime"
 

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mucut import (FULL_PLANE, Cone2, ConeN, ConeNormalForm, DegenerateCut,
+from mucut import (FULL_PLANE, Cone2, ConeNormalForm, DegenerateCut,
                    EmptyCut, HalfPlane, NotCoprime, Unimodular2,
-                   apply_unimodular, cone_from_normals, contains, cut_cone,
-                   cut_coneN, cut_plan, equivalence_witness, gl_equivalent,
-                   lattice_index, lens_cone, normal_form, sphere_cone)
+                   apply_unimodular, contains, cut_cone, cut_plan,
+                   equivalence_witness, gl_equivalent, lattice_index,
+                   lens_cone, normal_form, sphere_cone)
 
 SHEAR = Unimodular2(((1, 1), (1, 2)))
 
@@ -61,6 +61,17 @@ class TestConstruction:
     def test_json(self):
         assert lens_cone(1, 1).to_json() == {
             "generators": [[1, 0], [1, 1]]}
+
+    def test_json_payload_forms(self):
+        assert Cone2.from_json({"lens": [7, 3]}) == lens_cone(7, 3)
+        assert Cone2.from_json({"sphere": True}) == sphere_cone()
+        assert Cone2.from_json(lens_cone(2, 1).to_json()) == lens_cone(2, 1)
+        for bad in ({"lens": [1]}, {"lens": [0, 1]}, {"lens": ["a", 1]},
+                    {"lens": [True, 1]}, {"lens": 3}):
+            with pytest.raises(ValueError):
+                Cone2.from_json(bad)
+        with pytest.raises(NotCoprime):
+            Cone2.from_json({"lens": [4, 2]})
 
 
 class TestContains:
@@ -221,29 +232,6 @@ class TestCutPlan:
     def test_round_trip(self, c):
         first, second = cut_plan(c)
         assert cut_cone(cut_cone(FULL_PLANE, first), second) == c
-
-
-class TestConeN:
-    def test_cut_appends(self):
-        c = ConeN(3, ((1, 0, 0),))
-        cut = cut_coneN(c, (0, 1, 0))
-        assert cut.normals == ((1, 0, 0), (0, 1, 0))
-
-    def test_duplicate_cut_ignored(self):
-        c = ConeN(2, ((1, 0),))
-        assert cut_coneN(c, (2, 0)) == c
-
-    def test_json(self):
-        c = ConeN(2, ((0, 1), (1, -1)))
-        assert c.to_json() == {"dimension": 2, "normals": [[0, 1], [1, -1]]}
-
-    @given(cones)
-    def test_matches_generator_route(self, c):
-        plan = cut_plan(c)
-        ambient = ConeN(2, ())
-        for normal in plan:
-            ambient = cut_coneN(ambient, normal)
-        assert cone_from_normals(ambient) == c
 
 
 @given(cones, unimodulars())

@@ -1,0 +1,33 @@
+"""Package layering: the exact core stays numpy-free, the export list holds."""
+
+import ast
+from pathlib import Path
+
+import mucut
+
+PACKAGE = Path(mucut.__file__).parent
+
+# Only the float layers and the front ends that drive them may use numpy.
+NUMPY_MODULES = {"spectral.py", "selftest.py", "cli.py"}
+
+
+def imported_roots(path: Path) -> set:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_numpy_only_in_float_layers():
+    users = {path.name for path in PACKAGE.glob("*.py")
+             if "numpy" in imported_roots(path)}
+    assert users <= NUMPY_MODULES, sorted(users - NUMPY_MODULES)
+
+
+def test_all_resolves_without_duplicates():
+    assert len(mucut.__all__) == len(set(mucut.__all__))
+    missing = [name for name in mucut.__all__ if not hasattr(mucut, name)]
+    assert missing == []

@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mucut import (CanonicalOperator, GaussianRational, NotInCommutant,
-                   Parity, Polynomial, WindowTooSmall, adjoint, commutant_factorize,
+                   Parity, Polynomial, adjoint, commutant_factorize,
                    commutator, compose, make_generator, raising_product,
-                   realize_matrix, recompose_factors, required_vanishing,
-                   shift_divisor, szego_commutator_entries, szego_commutes,
+                   recompose_factors, required_vanishing, shift_divisor,
+                   szego_commutator_entries, szego_commutes,
                    verify_pk_identity)
-from mucut.oracle import matrix_commutes, projector_commutator_entries
+from mucut.oracle import (_leak_divisor, exact_entries, matrix_commutes,
+                          projector_commutator_entries)
+from mucut.selftest import _mirrored_commutes, _mirrored_vanishing
 
 D = make_generator("D")
 Raise = make_generator("Raise")
@@ -125,17 +127,18 @@ class TestCommutationCriterion:
         assert not szego_commutes(a, Parity.EVEN)
 
     def test_uniform_range_flag_differs_on_lower(self):
+        # the selftest's mirrored diagnostic rule rejects a true generator
         assert szego_commutes(Lower, Parity.FULL)
-        assert not szego_commutes(Lower, Parity.FULL,
-                                  uniform_negative_range=True)
+        assert not _mirrored_commutes(Lower, Parity.FULL)
 
     def test_required_vanishing_sets(self):
+        assert required_vanishing(0, Parity.FULL) == []
         assert required_vanishing(2, Parity.FULL) == [-2, -1]
         assert required_vanishing(-2, Parity.FULL) == [0, 1]
-        assert required_vanishing(-2, Parity.FULL,
-                                  uniform_negative_range=True) == [-2, -1]
+        assert _mirrored_vanishing(-2, Parity.FULL) == [-2, -1]
         assert required_vanishing(4, Parity.EVEN) == [-4, -2]
         assert required_vanishing(-4, Parity.EVEN) == [0, 2]
+        assert required_vanishing(3, Parity.EVEN) is None
 
     @given(operators)
     def test_matches_matrix_route(self, a):
@@ -171,29 +174,44 @@ class TestCommutatorEntries:
         assert dict_entries(a, parity, window) == projector_commutator_entries(
             a, window, parity)
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            szego_commutator_entries(Raise, Parity.EVEN, window=-5)
+
 
 class TestRealization:
-    def test_diagonal(self):
-        m = realize_matrix(D, 2)
-        assert [m.entries[i, i].real for i in range(5)] == [-2, -1, 0, 1, 2]
+    """Matrix entries on a mode window, exactly, from the oracle."""
 
-    def test_window_gate(self):
-        with pytest.raises(WindowTooSmall):
-            realize_matrix(RaiseEven, 1)
+    def test_diagonal(self):
+        entries = exact_entries(D, 2)
+        assert [entries.get((n, n), 0) for n in range(-2, 3)] == [
+            -2, -1, 0, 1, 2]
 
     def test_subdiagonal_shift(self):
-        m = realize_matrix(CanonicalOperator({1: Polynomial([1])}), 2)
-        assert m.entries[m.index(0), m.index(-1)] == 1
+        entries = exact_entries(CanonicalOperator({1: Polynomial([1])}), 2)
+        assert entries[0, -1] == 1
+        assert (3, 2) not in entries  # mode 3 lies outside the window
 
     @given(operators, operators)
     def test_interior_window_closure(self, a, b):
+        # entries(a b)[row, col] == sum_l a[row, l] b[l, col] on the modes
+        # no truncated sum reaches, checked exactly
         window = 32
-        prod = realize_matrix(compose(a, b), window)
-        ma, mb = realize_matrix(a, window), realize_matrix(b, window)
-        raw = ma.entries @ mb.entries
+        a_by_col = {}
+        for (row, l), value in exact_entries(a, window).items():
+            a_by_col.setdefault(l, []).append((row, value))
+        raw = {}
+        for (l, col), vb in exact_entries(b, window).items():
+            for row, va in a_by_col.get(l, ()):
+                raw[row, col] = raw.get((row, col), 0) + va * vb
         pad = a.bandwidth + b.bandwidth
-        lo, hi = pad, 2 * window - pad + 1
-        assert (raw[lo:hi, lo:hi] == prod.entries[lo:hi, lo:hi]).all()
+        inner = range(-window + pad, window - pad + 1)
+
+        def interior(entries):
+            return {key: v for key, v in entries.items()
+                    if v and key[0] in inner and key[1] in inner}
+
+        assert interior(raw) == interior(exact_entries(compose(a, b), window))
 
 
 class TestFactorization:
@@ -216,6 +234,16 @@ class TestFactorization:
         assert shift_divisor(2, Parity.EVEN) == Polynomial([2, 1])
         assert shift_divisor(-4, Parity.EVEN) == Polynomial.from_roots([0, 2])
 
+    def test_divisors_match_leaking_modes(self):
+        # the table against the modes each shift carries across the cutoff
+        for parity in Parity:
+            for k in range(-8, 9):
+                if parity is Parity.EVEN and k % 2:
+                    with pytest.raises(ValueError):
+                        shift_divisor(k, parity)
+                    continue
+                assert shift_divisor(k, parity) == _leak_divisor(k, parity)
+
     @given(operators, st.sampled_from(list(Parity)))
     def test_round_trip(self, a, parity):
         lifted = {}
@@ -236,11 +264,10 @@ def test_projected_compression_never_smoothing(a):
     # a nonzero polynomial term cannot vanish on every retained mode, so the
     # compression to modes >= 0 keeps at least one nonzero entry per term
     window = 24
-    m = realize_matrix(a, window)
+    entries = exact_entries(a, window)
     for k, q in a.terms.items():
         cols = range(max(0, -k), window - max(0, k) + 1)
-        witnessed = any(
-            m.entries[m.index(n + k), m.index(n)] != 0 for n in cols)
+        witnessed = any((n + k, n) in entries for n in cols)
         assert witnessed == any(bool(q(n)) for n in cols)
         assert witnessed
 
