@@ -16,7 +16,7 @@ from .cutspace import (Jet, extends_smoothly, odd_monomials, pullback_jet,
 from .errors import (DegenerateCut, DomainError, EmptyCut, FitRangeTooSmall,
                      NonzeroRemainder, NotAdmissible, NotCoprime, NotElliptic,
                      NotHomogeneous, NotInCommutant, NotSelfAdjoint, OddJet,
-                     WrongDegree, ZeroOperator, ZeroVector)
+                     WindowTooLarge, WrongDegree, ZeroOperator, ZeroVector)
 from .exact import (GaussianRational, Polynomial, Unimodular2, bezout,
                     poly_divide_exact, primitive, rational_from_str,
                     rational_to_str)
@@ -28,9 +28,8 @@ from .operators import (CanonicalOperator, GeneratorName, Parity, adjoint,
                         szego_commutes, verify_pk_identity)
 from .selftest import DEFAULT_SEED, run_selftest, selftest_rows
 from .spectral import (SCHEMA, ExperimentReport, Spectrum,
-                       hermitian_eigenvalues, projected_compression,
-                       projected_spectrum, residue_contour, residue_log_fit,
-                       weyl_compare)
+                       projected_compression, projected_spectrum,
+                       residue_contour, residue_log_fit, weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant,
                       build_commuting_from_symbol, exactness_witness,
                       is_admissible, leading_symbol, poisson_bracket,
@@ -45,14 +44,14 @@ __all__ = [
     "GeneratorName", "HalfPlane", "Jet", "LaurentSymbol", "NonzeroRemainder",
     "NotAdmissible", "NotCoprime", "NotElliptic", "NotHomogeneous",
     "NotInCommutant", "NotSelfAdjoint", "OddJet", "Parity", "Polynomial",
-    "SCHEMA", "Spectrum", "SymbolVariant", "Unimodular2", "WrongDegree",
-    "ZeroOperator", "ZeroVector", "adjoint", "apply_unimodular", "bezout",
-    "build_commuting_from_symbol", "commutant_factorize", "commutator",
-    "compose", "contains", "cut_cone", "cut_plan", "equivalence_witness",
-    "exactness_witness", "extends_smoothly", "gl_equivalent",
-    "hermitian_eigenvalues", "is_admissible", "lattice_index",
-    "leading_symbol", "lens_cone", "make_generator", "normal_form",
-    "odd_monomials", "poisson_bracket", "poly_divide_exact", "primitive",
+    "SCHEMA", "Spectrum", "SymbolVariant", "Unimodular2", "WindowTooLarge",
+    "WrongDegree", "ZeroOperator", "ZeroVector", "adjoint", "apply_unimodular",
+    "bezout", "build_commuting_from_symbol", "commutant_factorize",
+    "commutator", "compose", "contains", "cut_cone", "cut_plan",
+    "equivalence_witness", "exactness_witness", "extends_smoothly",
+    "gl_equivalent", "is_admissible", "lattice_index", "leading_symbol",
+    "lens_cone", "make_generator", "normal_form", "odd_monomials",
+    "poisson_bracket", "poly_divide_exact", "primitive",
     "projected_compression", "projected_spectrum", "pullback_jet",
     "pushforward_symbol", "raising_product", "rational_from_str",
     "rational_to_str", "recompose_factors", "require_self_adjoint",

@@ -42,23 +42,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_payload(text: str):
+def _read_input(text: str) -> str:
     """Inline JSON (starts with a brace or bracket), '-' for stdin, or a
     file path."""
     if text == "-":
-        raw = sys.stdin.read()
-    elif text.lstrip().startswith(("{", "[")):
-        raw = text
-    else:
-        try:
-            with open(text, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise MalformedInput(f"cannot read input file {text}: {exc}")
+        return sys.stdin.read()
+    if text.lstrip().startswith(("{", "[")):
+        return text
+    try:
+        with open(text, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read input file {text}: {exc}")
+
+
+def _decode(raw: str):
+    """``json.loads``; nesting too deep for the decoder is invalid input."""
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON input: {exc}")
+
+
+def _load_payload(text: str):
+    return _decode(_read_input(text))
 
 
 def _parse(cls, data, noun: str):
@@ -215,24 +222,14 @@ def _cmd_weyl(args) -> int:
 
 
 def _load_diagonal(text: str):
-    data = _load_payload(text) if text.lstrip().startswith("[") else None
-    if data is None:
+    raw = _read_input(text).strip()
+    if raw.startswith("["):
+        data = _decode(raw)
+    else:
         try:
-            with open(text, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise MalformedInput(f"cannot read diagonal file {text}: {exc}")
-        raw = raw.strip()
-        if raw.startswith("["):
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise MalformedInput(f"invalid diagonal JSON: {exc}")
-        else:
-            try:
-                data = [float(line) for line in raw.splitlines() if line.strip()]
-            except ValueError as exc:
-                raise MalformedInput(f"invalid diagonal data: {exc}")
+            data = [float(line) for line in raw.splitlines() if line.strip()]
+        except ValueError as exc:
+            raise MalformedInput(f"invalid diagonal data: {exc}")
     if not isinstance(data, list) or not all(
             isinstance(x, (int, float)) for x in data):
         raise MalformedInput("diagonal must be a list of numbers")

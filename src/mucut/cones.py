@@ -116,8 +116,9 @@ class Cone2:
         if (not isinstance(data, dict) or "generators" not in data
                 or len(data["generators"]) != 2):
             raise ValueError(f"not a two-generator cone object: {data!r}")
-        u, v = data["generators"]
-        return cls(tuple(int(c) for c in u), tuple(int(c) for c in v))
+        u, v = (tuple(_strict_int(c, "generator coordinate") for c in g)
+                for g in data["generators"])
+        return cls(u, v)
 
 
 def lens_cone(p: int, q: int) -> Cone2:

@@ -56,6 +56,10 @@ class NotElliptic(DomainError):
     code = "not-elliptic"
 
 
+class WindowTooLarge(DomainError):
+    code = "window-too-large"
+
+
 class FitRangeTooSmall(DomainError):
     code = "fit-range-too-small"
 

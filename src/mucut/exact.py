@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonzeroRemainder, ZeroVector
 
@@ -255,12 +255,30 @@ class Polynomial:
         return self.coefficients[-1]
 
     def __call__(self, x) -> GaussianRational:
-        if not isinstance(x, GaussianRational):
-            x = GaussianRational(x)
-        acc = _ZERO
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """Exact value at ``x`` by Horner's rule on Python integers.
+
+        The coefficients go over one common denominator ``den`` and ``x`` is
+        written as ``(xr + i*xi) / dx``; the loop accumulates
+        ``den * dx**degree * p(x)`` and the one division comes at the end.
+        """
+        x = _as_gaussian(x)
+        coeffs = self.coefficients
+        if not coeffs:
+            return _ZERO
+        den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+        dx = lcm(x.re.denominator, x.im.denominator)
+        xr = x.re.numerator * (dx // x.re.denominator)
+        xi = x.im.numerator * (dx // x.im.denominator)
+        re = im = 0
+        power = 1
+        for c in reversed(coeffs):
+            re, im = (re * xr - im * xi
+                      + c.re.numerator * (den // c.re.denominator) * power,
+                      re * xi + im * xr
+                      + c.im.numerator * (den // c.im.denominator) * power)
+            power *= dx
+        scale = den * power // dx
+        return GaussianRational(Fraction(re, scale), Fraction(im, scale))
 
     def __add__(self, other):
         other = _coerce_poly(other)

@@ -2,8 +2,9 @@
 
 The checks here deliberately avoid the index-range criteria under test: the
 commutator with the projector is realized entry by entry on an explicit mode
-window, exactly. Agreement between that route and the closed-form criteria
-is what the test-suite certifies.
+window, each entry the exact value ``poly(col)`` of its shift's polynomial.
+Agreement between that route and the closed-form criteria is what the
+test-suite certifies.
 
 All generators take a caller-owned :class:`random.Random`, so any run is
 reproducible from one integer seed.
@@ -35,29 +36,6 @@ def _leak_divisor(k: int, parity: Parity) -> Polynomial:
         if projected_mode(n, parity) != projected_mode(n + k, parity))
 
 
-def _int_pairs(poly: Polynomial):
-    """Coefficients as (re, im) integer pairs, or None when non-integral.
-
-    Integer Horner evaluation is an order of magnitude faster than going
-    through Fraction normalization, and the batch criteria evaluate a few
-    hundred thousand polynomial values inside their time budgets.
-    """
-    pairs = []
-    for c in poly.coefficients:
-        if c.re.denominator != 1 or c.im.denominator != 1:
-            return None
-        pairs.append((c.re.numerator, c.im.numerator))
-    return pairs
-
-
-def _eval_pairs(pairs, n: int):
-    re, im = 0, 0
-    for cr, ci in reversed(pairs):
-        re = re * n + cr
-        im = im * n + ci
-    return re, im
-
-
 def exact_entries(a: CanonicalOperator, window: int) -> dict:
     """All nonzero matrix entries of ``a`` on modes ``-window..window``.
 
@@ -65,19 +43,13 @@ def exact_entries(a: CanonicalOperator, window: int) -> dict:
     """
     out = {}
     for k, poly in a.terms.items():
-        pairs = _int_pairs(poly)
         for col in range(-window, window + 1):
             row = col + k
             if not -window <= row <= window:
                 continue
-            if pairs is None:
-                value = poly(col)
-                if value:
-                    out[row, col] = value
-            else:
-                re, im = _eval_pairs(pairs, col)
-                if re or im:
-                    out[row, col] = GaussianRational(re, im)
+            value = poly(col)
+            if value:
+                out[row, col] = value
     return out
 
 
@@ -109,17 +81,13 @@ def matrix_commutes(a: CanonicalOperator, window: int,
     parity = Parity(parity)
     interior = window - a.bandwidth
     for k, poly in a.terms.items():
-        pairs = _int_pairs(poly)
         for col in range(-interior, interior + 1):
             row = col + k
             if not -interior <= row <= interior:
                 continue
             if projected_mode(row, parity) == projected_mode(col, parity):
                 continue
-            if pairs is None:
-                if poly(col):
-                    return False
-            elif _eval_pairs(pairs, col) != (0, 0):
+            if poly(col):
                 return False
     return True
 

@@ -30,8 +30,9 @@ from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
                      random_unimodular)
-from .spectral import (SCHEMA, hermitian_eigenvalues, projected_compression,
-                       residue_contour, residue_log_fit, weyl_compare)
+from .spectral import (SCHEMA, _retained_modes, projected_compression,
+                       projected_spectrum, residue_contour, residue_log_fit,
+                       weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant, build_commuting_from_symbol,
                       exactness_witness, leading_symbol, symbol_tower,
                       variant_for_parity)
@@ -260,19 +261,34 @@ def _row_symbol_homomorphism(rng: Random):
     return True, "operator products and brackets project onto symbol calculus"
 
 
-def _row_eigensolver(rng: Random):
-    gen = np.random.default_rng(rng.randrange(2 ** 32))
-    for size in (6, 17, 40):
-        raw = (gen.standard_normal((size, size))
-               + 1j * gen.standard_normal((size, size)))
-        herm = (raw + raw.conj().T) / 2
-        mine = hermitian_eigenvalues(herm)
-        ref = np.linalg.eigvalsh(herm)
-        scale = max(1.0, float(np.max(np.abs(ref))))
-        err = float(np.max(np.abs(mine - ref)))
-        if err > 1e-8 * scale:
-            return False, f"size {size}: eigenvalue deviation {err:.3e}"
-    return True, "cyclic rotation eigensolver matches LAPACK to 1e-8"
+def _row_spectrum_invariants(rng: Random):
+    window = 40
+    for i in range(6):
+        parity = _PARITIES[i % 2]
+        x = random_commuting_operator(rng, parity)
+        a = x + x.adjoint()
+        modes = _retained_modes(window, parity)
+        kept = set(modes)
+        trace = frobenius_sq = 0
+        for k, poly in a.terms.items():
+            for n in modes:
+                if n + k in kept:
+                    value = poly(n)
+                    frobenius_sq += value.re ** 2 + value.im ** 2
+                    if k == 0:
+                        trace += value.re
+        values = projected_spectrum(a, window, parity).values
+        if np.any(np.diff(values) < 0):
+            return False, f"sample {i}: eigenvalues are not ascending"
+        norm = math.sqrt(frobenius_sq)
+        trace_err = abs(math.fsum(values) - trace)
+        if trace_err > 1e-9 * norm:
+            return False, f"sample {i}: eigenvalue sum off by {trace_err:.3e}"
+        square_err = abs(math.fsum(values * values) - frobenius_sq)
+        if square_err > 1e-9 * norm * norm:
+            return False, (f"sample {i}: eigenvalue square sum off by "
+                           f"{square_err:.3e}")
+    return True, "6 spectra at window 40 keep trace and norm"
 
 
 def _row_parametrix(rng: Random):
@@ -447,8 +463,8 @@ def selftest_rows(include_uniform_range_diagnostic: bool = False):
                     "products and brackets descend to symbol calculus",
                     _row_symbol_homomorphism),
         SelftestRow("hermitian-eigensolver",
-                    "rotation eigensolver agrees with LAPACK",
-                    _row_eigensolver),
+                    "LAPACK spectra match exact trace invariants",
+                    _row_spectrum_invariants),
         SelftestRow("parametrix-inverse",
                     "truncated inverse matches the symbolic parametrix",
                     _row_parametrix),

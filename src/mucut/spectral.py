@@ -1,10 +1,10 @@
 """Spectral experiments: projected spectra, Weyl counting, residue fits.
 
 Everything in this module deliberately leaves exact arithmetic for floats;
-exactness claims live in the normal-form layer. The Hermitian eigensolver is
-a cyclic Jacobi iteration implemented here (matrices stay small enough that
-no external solver is warranted); diagonal compressions take an exact fast
-path so large-window counting experiments stay cheap.
+exactness claims live in the normal-form layer. Spectra come from LAPACK
+(``numpy.linalg.eigvalsh``) on the dense projected compression, whose size is
+capped before allocation; bandwidth-0 compressions are diagonal, so their
+spectrum is the sorted diagonal and large-window counting stays cheap.
 """
 
 from __future__ import annotations
@@ -14,75 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitRangeTooSmall, NotElliptic, WrongDegree
-from .exact import GaussianRational
+from .errors import (FitRangeTooSmall, NotElliptic, WindowTooLarge,
+                     WrongDegree)
+from .exact import GaussianRational, Polynomial
 from .operators import (CanonicalOperator, Parity, require_self_adjoint,
                         szego_commutes)
 from .symbols import LaurentSymbol, leading_symbol
 
 SCHEMA = "mucut/1"
 
-
-def hermitian_eigenvalues(matrix, tol: float = 1e-10,
-                          max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    ``tol * max(1, ||A||_F)``. Convergence is quadratic; ``max_sweeps`` is a
-    safety net, not a tuning knob.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if not np.allclose(a, a.conj().T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix is not Hermitian")
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n)
-    threshold = tol * max(1.0, scale)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm over the off-diagonal part directly; subtracting the
-        # diagonal norm from the total cancels catastrophically
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= threshold:
-            break
-        skip = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip * 1e-4:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # factor out the phase so the 2x2 block is real symmetric
-                # [[app, mag], [mag, aqq]], then zero it with the classical
-                # rotation; the full unitary is diag(1, conj(phase)) times
-                # [[c, s], [-s, c]] on the (p, q) plane
-                phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                pc = phase.conjugate()
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * pc * col_q
-                a[:, q] = s * col_p + c * pc * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-    else:
-        raise ArithmeticError("Jacobi iteration failed to converge")
-    return np.sort(np.diagonal(a).real)
+#: Largest number of retained modes a dense compression may have: the
+#: command line's default window of 4096 keeps 4097 (a 268 MB matrix).
+MAX_DENSE_MODES = 4097
 
 
 @dataclass(frozen=True)
@@ -127,8 +70,12 @@ def projected_compression(a: CanonicalOperator, window: int,
     parity = Parity(parity)
     if window < 0:
         raise ValueError("window must be nonnegative")
+    size = window + 1
+    if size > MAX_DENSE_MODES:
+        raise WindowTooLarge(
+            f"window {window} retains {size} modes; a dense compression "
+            f"holds at most {MAX_DENSE_MODES}")
     modes = _retained_modes(window, parity)
-    size = len(modes)
     matrix = np.zeros((size, size), dtype=complex)
     index = {n: i for i, n in enumerate(modes)}
     for k, poly in a.terms.items():
@@ -141,27 +88,22 @@ def projected_compression(a: CanonicalOperator, window: int,
 
 
 def projected_spectrum(a: CanonicalOperator, window: int,
-                       parity: Parity = Parity.FULL,
-                       tol: float = 1e-10) -> Spectrum:
+                       parity: Parity = Parity.FULL) -> Spectrum:
     """Spectrum of the compression of ``a`` to the projector's modes.
 
     The operator must be exactly self-adjoint in normal form. Bandwidth-0
-    compressions are diagonal and bypass the iteration.
+    compressions are diagonal and never build the dense matrix.
     """
     parity = Parity(parity)
     if window < 0:
         raise ValueError("window must be nonnegative")
     require_self_adjoint(a)
-    modes = _retained_modes(window, parity)
-    poly0 = a.terms.get(0)
     if a.bandwidth == 0:
-        if poly0 is None:
-            values = np.zeros(len(modes))
-        else:
-            values = np.sort(np.array([float(poly0(n).re) for n in modes]))
+        poly0 = a.terms.get(0, Polynomial.zero())
+        values = np.sort([float(poly0(n).re)
+                          for n in _retained_modes(window, parity)])
     else:
-        values = hermitian_eigenvalues(projected_compression(a, window, parity),
-                                       tol=tol)
+        values = np.linalg.eigvalsh(projected_compression(a, window, parity))
     reliable = np.arange(len(values)) < (len(values) + 1) // 2
     return Spectrum(values=values, reliable=reliable, window=window,
                     parity=parity)

@@ -11,6 +11,7 @@ from mucut.cli import main
 RAISE = '{"terms": [{"k": 1, "poly": [{"re": "1/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]}]}'
 PHASE = '{"terms": [{"k": 1, "poly": [{"re": "1/1", "im": "0/1"}]}]}'
 DIAG = '{"terms": [{"k": 0, "poly": [{"re": "0/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]}]}'
+RAISE_LOWER = '{"terms": [{"k": -1, "poly": [{"re": "0/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]}, {"k": 1, "poly": [{"re": "1/1", "im": "0/1"}, {"re": "1/1", "im": "0/1"}]}]}'
 
 
 def run(capsys, *argv):
@@ -75,6 +76,10 @@ MALFORMED_PAYLOADS = [
     pytest.param("cone-equiv",
                  '{"first": {"lens": [true, 1]}, "second": {"sphere": true}}',
                  "cone", id="lens-bool"),
+    pytest.param("cone-plan", '{"generators": [[1.5, 0], [0, 1]]}', "cone",
+                 id="generator-float"),
+    pytest.param("cone-plan", '{"generators": [[true, 0], [0, 1]]}', "cone",
+                 id="generator-bool"),
 ]
 
 OUT_OF_RANGE_ARGS = [
@@ -112,6 +117,13 @@ class TestExitCodes:
     def test_malformed_payload(self, capsys, subcommand, payload, noun):
         assert_one_line_error(*run(capsys, subcommand, payload),
                               f"invalid {noun} object")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        for argv in (("commutant-check", str(path)),
+                     ("residue", "--diagonal", str(path))):
+            assert_one_line_error(*run(capsys, *argv), "invalid JSON input")
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGS)
     def test_out_of_range_argument(self, capsys, argv):
@@ -202,6 +214,13 @@ class TestSpectrum:
         code, payload = run_json(capsys, "spectrum", PHASE, "--window", "6")
         assert code == 2
         assert payload["error"] == "not-self-adjoint"
+
+    def test_window_too_large(self, capsys):
+        code, payload = run_json(capsys, "spectrum", RAISE_LOWER,
+                                 "--window", str(10**6))
+        assert code == 2
+        assert payload["error"] == "window-too-large"
+        assert payload["message"]
 
 
 def test_weyl_small_window(capsys):

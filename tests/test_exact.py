@@ -1,11 +1,13 @@
 """Exact scalar and polynomial layer: field axioms, normalization, division."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mucut.exact
 from mucut import (GaussianRational, NonzeroRemainder, Polynomial,
                    Unimodular2, ZeroVector, bezout, poly_divide_exact,
                    primitive, rational_from_str, rational_to_str)
@@ -14,6 +16,9 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 small_ints = st.integers(min_value=-9, max_value=9)
 polys = st.lists(gaussians, max_size=5).map(Polynomial)
+off_lattice = st.builds(Fraction, st.integers(-50, 50),
+                        st.integers(2, 20)).filter(lambda r: r.denominator > 1)
+off_lattice_gaussians = st.builds(GaussianRational, off_lattice, off_lattice)
 
 
 def test_rational_string_round_trip():
@@ -98,6 +103,13 @@ class TestPolynomial:
         assert p(2) == 5
         assert p(GaussianRational(0, 1)) == 0
 
+    @given(polys, off_lattice_gaussians)
+    def test_evaluation_matches_power_sum(self, p, x):
+        total, power = GaussianRational(0), GaussianRational(1)
+        for c in p.coefficients:
+            total, power = total + c * power, power * x
+        assert p(x) == total
+
     def test_from_roots(self):
         p = Polynomial.from_roots([0, 2])
         assert p == Polynomial([0, -2, 1])
@@ -139,6 +151,11 @@ class TestPolynomial:
     def test_json_round_trip(self):
         p = Polynomial([GaussianRational(1, 1), 0, 3])
         assert Polynomial.from_json(p.to_json()) == p
+
+
+def test_module_doctests():
+    result = doctest.testmod(mucut.exact)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_bezout():

@@ -1,4 +1,5 @@
-"""Package layering: the exact core stays numpy-free, the export list holds."""
+"""Package layering: the exact core stays numpy-free and alone reads
+rational parts; the export list holds."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,16 @@ def test_numpy_only_in_float_layers():
     users = {path.name for path in PACKAGE.glob("*.py")
              if "numpy" in imported_roots(path)}
     assert users <= NUMPY_MODULES, sorted(users - NUMPY_MODULES)
+
+
+def test_fraction_parts_read_only_in_exact():
+    # Polynomial evaluation has one source, the integer Horner in exact.py;
+    # reading numerators and denominators elsewhere would start a second.
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               if any(isinstance(node, ast.Attribute)
+                      and node.attr in ("numerator", "denominator")
+                      for node in ast.walk(ast.parse(path.read_text())))}
+    assert readers <= {"exact.py"}, sorted(readers - {"exact.py"})
 
 
 def test_all_resolves_without_duplicates():

@@ -1,60 +1,19 @@
-"""Float layer: eigensolver, projected spectra, Weyl counts, residue fits."""
+"""Float layer: projected spectra, Weyl counts, residue fits."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mucut import (CanonicalOperator, ExperimentReport, FitRangeTooSmall,
                    GaussianRational, LaurentSymbol, NotElliptic,
-                   NotSelfAdjoint, Polynomial, Spectrum, hermitian_eigenvalues,
+                   NotSelfAdjoint, Polynomial, Spectrum, WindowTooLarge,
                    make_generator, projected_compression, projected_spectrum,
                    residue_contour, residue_log_fit, weyl_compare, Parity)
 
 D = make_generator("D")
 Raise = make_generator("Raise")
 Lower = make_generator("Lower")
-
-
-@st.composite
-def hermitian_matrices(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    entries = st.floats(min_value=-10, max_value=10, allow_nan=False)
-    raw = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                 min_size=2 * n, max_size=2 * n)))
-    m = raw[:n] + 1j * raw[n:]
-    return (m + m.conj().T) / 2.0
-
-
-class TestEigensolver:
-    def test_known_2x2(self):
-        values = hermitian_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
-
-    def test_complex_phase(self):
-        values = hermitian_eigenvalues([[1.0, 1j], [-1j, 1.0]])
-        assert np.allclose(values, [0.0, 2.0], atol=1e-12)
-
-    def test_zero_and_empty(self):
-        assert hermitian_eigenvalues(np.zeros((3, 3))).tolist() == [0, 0, 0]
-        assert hermitian_eigenvalues(np.zeros((0, 0))).size == 0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues([[0.0, 1.0], [2.0, 0.0]])
-
-    @given(hermitian_matrices())
-    def test_matches_lapack(self, m):
-        ours = hermitian_eigenvalues(m)
-        reference = np.linalg.eigvalsh(m)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        assert np.max(np.abs(ours - reference)) <= 1e-8 * scale
 
 
 class TestProjectedSpectrum:
@@ -97,6 +56,13 @@ class TestProjectedSpectrum:
         assert spec.count_below(3.5) == 4
         assert spec.count_below(0.0) == 0
 
+    def test_window_bounded_before_allocation(self):
+        for parity in (Parity.FULL, Parity.EVEN):
+            with pytest.raises(WindowTooLarge):
+                projected_compression(Raise + Lower, 10**6, parity)
+            with pytest.raises(WindowTooLarge):
+                projected_spectrum(Raise + Lower, 10**6, parity)
+
 
 class TestWeylCounting:
     def test_identity_operator_is_sharp(self):
@@ -111,6 +77,10 @@ class TestWeylCounting:
     def test_quadratic(self):
         from mucut import compose
         report = weyl_compare(compose(Raise, Lower), 512)
+        assert report.max_residual <= 1.0
+
+    def test_banded_quadratic(self):
+        report = weyl_compare(D * D + Raise + Lower, 256)
         assert report.max_residual <= 1.0
 
     def test_rejects_angular_top_symbol(self):
