@@ -14,9 +14,10 @@ from .cones import (FULL_PLANE, Cone2, ConeNormalForm, FullPlane, HalfPlane,
 from .cutspace import (Jet, extends_smoothly, odd_monomials, pullback_jet,
                        pushforward_symbol)
 from .errors import (DegenerateCut, DomainError, EmptyCut, FitRangeTooSmall,
-                     NonzeroRemainder, NotAdmissible, NotCoprime, NotElliptic,
-                     NotHomogeneous, NotInCommutant, NotSelfAdjoint, OddJet,
-                     WindowTooLarge, WrongDegree, ZeroOperator, ZeroVector)
+                     FloatOverflow, NonzeroRemainder, NotAdmissible,
+                     NotCoprime, NotElliptic, NotHomogeneous, NotInCommutant,
+                     NotSelfAdjoint, OddJet, WindowTooLarge, WrongDegree,
+                     ZeroOperator, ZeroVector)
 from .exact import (GaussianRational, Polynomial, Unimodular2, bezout,
                     poly_divide_exact, primitive, rational_from_str,
                     rational_to_str)
@@ -40,10 +41,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalOperator", "Cone2", "ConeNormalForm", "DEFAULT_SEED",
     "DegenerateCut", "DomainError", "EmptyCut", "ExperimentReport",
-    "FULL_PLANE", "FitRangeTooSmall", "FullPlane", "GaussianRational",
-    "GeneratorName", "HalfPlane", "Jet", "LaurentSymbol", "NonzeroRemainder",
-    "NotAdmissible", "NotCoprime", "NotElliptic", "NotHomogeneous",
-    "NotInCommutant", "NotSelfAdjoint", "OddJet", "Parity", "Polynomial",
+    "FULL_PLANE", "FitRangeTooSmall", "FloatOverflow", "FullPlane",
+    "GaussianRational", "GeneratorName", "HalfPlane", "Jet", "LaurentSymbol",
+    "NonzeroRemainder", "NotAdmissible", "NotCoprime", "NotElliptic",
+    "NotHomogeneous", "NotInCommutant", "NotSelfAdjoint", "OddJet", "Parity",
+    "Polynomial",
     "SCHEMA", "Spectrum", "SymbolVariant", "Unimodular2", "WindowTooLarge",
     "WrongDegree", "ZeroOperator", "ZeroVector", "adjoint", "apply_unimodular",
     "bezout", "build_commuting_from_symbol", "commutant_factorize",

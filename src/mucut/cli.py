@@ -12,19 +12,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from .cones import (FULL_PLANE, Cone2, cut_cone, cut_plan,
                     equivalence_witness, lens_cone, normal_form)
 from .cutspace import Jet, extends_smoothly, odd_monomials, pullback_jet, \
     pushforward_symbol
 from .errors import DomainError
-from .operators import (CanonicalOperator, Parity, commutant_factorize,
-                        shift_divisor, szego_commutator_entries,
-                        szego_commutes, verify_pk_identity)
+from .operators import (MAX_WINDOW_MODES, CanonicalOperator, Parity,
+                        commutant_factorize, shift_divisor,
+                        szego_commutator_entries, szego_commutes,
+                        verify_pk_identity)
 from .selftest import DEFAULT_SEED, run_selftest
 from .spectral import SCHEMA, projected_spectrum, residue_contour, \
     residue_log_fit, weyl_compare
@@ -77,8 +77,8 @@ def _parse(cls, data, noun: str):
         raise MalformedInput(f"invalid {noun} object: {exc}")
 
 
-def _bounded_int(lowest: int):
-    """Argparse type for integers of at least ``lowest``."""
+def _bounded_int(lowest: int, highest: int | None = None):
+    """Argparse type for integers in ``lowest..highest``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -87,8 +87,23 @@ def _bounded_int(lowest: int):
         if value < lowest:
             raise argparse.ArgumentTypeError(
                 f"must be at least {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {highest}, got {value}")
         return value
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type for finite floats above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text}")
+    return value
 
 
 def _scalar_str(value):
@@ -209,14 +224,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_weyl(args) -> int:
     op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
-    parity = Parity(args.parity)
-    grid = None
-    if args.grid_max is not None:
-        if args.grid_max <= 0:
-            raise MalformedInput("--grid-max must be positive")
-        grid = np.linspace(args.grid_max / args.grid_points, args.grid_max,
-                           args.grid_points)
-    report = weyl_compare(op, args.window, grid=grid, parity=parity,
+    report = weyl_compare(op, args.window, grid_max=args.grid_max,
+                          parity=Parity(args.parity),
                           grid_points=args.grid_points)
     return _emit(args, report.to_json(), csv_text=report.to_csv())
 
@@ -231,8 +240,9 @@ def _load_diagonal(text: str):
         except ValueError as exc:
             raise MalformedInput(f"invalid diagonal data: {exc}")
     if not isinstance(data, list) or not all(
-            isinstance(x, (int, float)) for x in data):
-        raise MalformedInput("diagonal must be a list of numbers")
+            isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+            for x in data):
+        raise MalformedInput("diagonal must be a list of finite numbers")
     return [float(x) for x in data]
 
 
@@ -252,8 +262,6 @@ def _cmd_residue(args) -> int:
         payload = {"schema": SCHEMA, "contour_residue": reported}
         return _emit(args, payload)
     if args.harmonic is not None:
-        if args.harmonic < 8:
-            raise MalformedInput("--harmonic needs at least 8 terms")
         diagonal = [1.0 / n for n in range(1, args.harmonic + 1)]
     else:
         diagonal = _load_diagonal(args.diagonal)
@@ -411,7 +419,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("identity-pk",
                        help="check the raising-power product identity")
-    p.add_argument("--max-k", type=_bounded_int(1), default=10,
+    p.add_argument("--max-k", type=_bounded_int(1, 40), default=10,
                    help="largest power to check (default %(default)s)")
     _add_io_options(p)
     p.set_defaults(handler=_cmd_identity_pk)
@@ -430,10 +438,11 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="operator JSON (inline, path, or -)")
     p.add_argument("--window", type=_bounded_int(0), default=4096,
                    help="mode window (default %(default)s)")
-    p.add_argument("--grid-max", type=float, default=None,
+    p.add_argument("--grid-max", type=_positive_float, default=None,
                    help="top of the threshold grid (default: symbol value "
                         "at half the window)")
-    p.add_argument("--grid-points", type=_bounded_int(1), default=64,
+    p.add_argument("--grid-points", type=_bounded_int(1, MAX_WINDOW_MODES),
+                   default=64,
                    help="number of grid thresholds (default %(default)s)")
     _add_parity_option(p)
     _add_io_options(p)
@@ -446,7 +455,8 @@ def build_parser() -> _Parser:
     p.add_argument("--diagonal", metavar="PATH",
                    help="diagonal values for the log fit (JSON array or "
                         "one number per line)")
-    p.add_argument("--harmonic", type=int, default=None, metavar="N",
+    p.add_argument("--harmonic", type=_bounded_int(8, 10**6), default=None,
+                   metavar="N",
                    help="fit the harmonic diagonal 1/n with N terms")
     p.add_argument("--fit-lo", type=int, default=1000,
                    help="lower end of the fit range (default %(default)s)")

@@ -65,9 +65,6 @@ class HalfPlane:
         d = _rot90(self.normal)
         return d, (-d[0], -d[1])
 
-    def contains(self, w) -> bool:
-        return _dot(tuple(w), self.normal) >= 0
-
 
 @dataclass(frozen=True)
 class Cone2:
@@ -86,9 +83,6 @@ class Cone2:
     @property
     def generators(self) -> tuple:
         return self.u, self.v
-
-    def contains(self, w) -> bool:
-        return contains(self, w)
 
     def __eq__(self, other):
         if not isinstance(other, Cone2):
@@ -113,11 +107,12 @@ class Cone2:
                 raise ValueError(f"lens needs two parameters, got {lens!r}")
             p, q = (_strict_int(c, "lens parameter") for c in lens)
             return lens_cone(p, q)
-        if (not isinstance(data, dict) or "generators" not in data
-                or len(data["generators"]) != 2):
+        gens = data.get("generators") if isinstance(data, dict) else None
+        if (not isinstance(gens, list) or len(gens) != 2
+                or any(not isinstance(g, list) or len(g) != 2 for g in gens)):
             raise ValueError(f"not a two-generator cone object: {data!r}")
         u, v = (tuple(_strict_int(c, "generator coordinate") for c in g)
-                for g in data["generators"])
+                for g in gens)
         return cls(u, v)
 
 
@@ -237,58 +232,46 @@ class ConeNormalForm:
 _FLIP = Unimodular2(((1, 0), (0, -1)))
 
 
-def _ordered_candidate(g1: Vec2, g2: Vec2, allow_flip: bool):
+def _ordered_candidate(g1: Vec2, g2: Vec2):
     """Canonical data for one generator ordering: map g1 to (1,0), reduce.
 
-    Returns ``((p, q), transform)`` or ``None`` when the ordering is
-    negatively oriented and orientation flips are disallowed.
+    Returns ``((p, q), transform)``.
     """
     g, alpha, beta = bezout(g1[0], g1[1])
     assert g == 1
     transform = Unimodular2(((alpha, beta), (-g1[1], g1[0])))
     a, b = transform.apply(g2)
     if b < 0:
-        if not allow_flip:
-            return None
         transform = _FLIP @ transform
-        a, b = a, -b
+        b = -b
     q = a % b
     shear = Unimodular2(((1, (q - a) // b), (0, 1)))
     return (b, q), shear @ transform
 
 
-def canonical_transform(cone: Cone2, *, det_plus_only: bool = False):
+def canonical_transform(cone: Cone2):
     """Normal form together with a witness matrix sending the cone to
     ``cone((1, 0), (q, p))``."""
-    best = None
-    for g1, g2 in ((cone.u, cone.v), (cone.v, cone.u)):
-        candidate = _ordered_candidate(g1, g2, allow_flip=not det_plus_only)
-        if candidate is None:
-            continue
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    (p, q), transform = best
+    (p, q), transform = min(_ordered_candidate(cone.u, cone.v),
+                            _ordered_candidate(cone.v, cone.u),
+                            key=lambda candidate: candidate[0])
     return ConeNormalForm(p, q), transform
 
 
-def normal_form(cone: Cone2, *, det_plus_only: bool = False) -> ConeNormalForm:
+def normal_form(cone: Cone2) -> ConeNormalForm:
     """The complete invariant of the cone under integer linear maps.
 
     ``p`` is the index ``|det(u, v)|`` of the generator pair; ``q`` is the
     canonical residue after mapping one generator to ``(1, 0)`` and shearing,
-    minimized lexicographically over the two orderings. With
-    ``det_plus_only`` the orientation-reversing reduction is disallowed and
-    only the positively oriented ordering contributes, giving the finer
-    orientation-preserving invariant.
+    minimized lexicographically over the two orderings.
     """
-    form, _ = canonical_transform(cone, det_plus_only=det_plus_only)
+    form, _ = canonical_transform(cone)
     return form
 
 
-def gl_equivalent(a: Cone2, b: Cone2, *, det_plus_only: bool = False) -> bool:
+def gl_equivalent(a: Cone2, b: Cone2) -> bool:
     """Whether an integer unit-determinant map carries one cone to the other."""
-    return (normal_form(a, det_plus_only=det_plus_only)
-            == normal_form(b, det_plus_only=det_plus_only))
+    return normal_form(a) == normal_form(b)
 
 
 def equivalence_witness(a: Cone2, b: Cone2) -> Unimodular2 | None:

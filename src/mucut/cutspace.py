@@ -45,15 +45,8 @@ class Jet(_TermMap):
                            _nonzero_terms(coeffs, monomial, _as_gaussian))
 
     @property
-    def dmax(self) -> int:
-        return self._dmax
-
-    @property
     def coeffs(self) -> dict:
         return dict(self._terms)
-
-    def coefficient(self, k: int, l: int) -> GaussianRational:
-        return self._terms.get((k, l), GaussianRational(0))
 
     def __add__(self, other):
         if not isinstance(other, Jet):

@@ -60,6 +60,10 @@ class WindowTooLarge(DomainError):
     code = "window-too-large"
 
 
+class FloatOverflow(DomainError):
+    code = "float-overflow"
+
+
 class FitRangeTooSmall(DomainError):
     code = "fit-range-too-small"
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import NonzeroRemainder, ZeroVector
+from .errors import FloatOverflow, NonzeroRemainder, ZeroVector
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -147,7 +147,11 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        """The one exact-to-float conversion; raises :class:`FloatOverflow`."""
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise FloatOverflow("exact value beyond the float range") from None
 
     def __repr__(self):
         parts = []
@@ -627,10 +631,3 @@ class Unimodular2:
 
     def to_json(self) -> list:
         return [list(self.rows[0]), list(self.rows[1])]
-
-    @classmethod
-    def from_json(cls, data) -> "Unimodular2":
-        if (not isinstance(data, list) or len(data) != 2
-                or any(not isinstance(r, list) or len(r) != 2 for r in data)):
-            raise ValueError(f"not a 2x2 integer matrix: {data!r}")
-        return cls((tuple(data[0]), tuple(data[1])))

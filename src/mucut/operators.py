@@ -13,10 +13,23 @@ from __future__ import annotations
 import enum
 from types import MappingProxyType
 
-from .errors import NotInCommutant, NotSelfAdjoint
+from .errors import NotInCommutant, NotSelfAdjoint, WindowTooLarge
 from .exact import (Polynomial, _as_polynomial, _merge_terms, _nonzero_terms,
                     _scale_terms, _SCALARS, _term_sum, _TermMap,
                     _terms_from_json, _terms_to_json, poly_divide_exact)
+
+#: Most modes an enumerated window holds; the default window 4096 keeps 4097.
+MAX_WINDOW_MODES = 4097
+
+
+def check_window(window: int) -> None:
+    """Reject a negative window, or one holding more than
+    :data:`MAX_WINDOW_MODES` modes, before any mode is enumerated."""
+    if window < 0:
+        raise ValueError("window must be nonnegative")
+    if window + 1 > MAX_WINDOW_MODES:
+        raise WindowTooLarge(
+            f"window {window} holds more than {MAX_WINDOW_MODES} modes")
 
 
 class Parity(enum.Enum):
@@ -76,15 +89,6 @@ class CanonicalOperator(_TermMap):
         if not self._terms:
             return None
         return max(p.degree for p in self._terms.values())
-
-    def apply_to_mode(self, n: int) -> dict:
-        """Image of the single mode ``e(n)`` as ``{target_mode: coefficient}``."""
-        out = {}
-        for k, poly in self._terms.items():
-            value = poly(n)
-            if value:
-                out[n + k] = value
-        return out
 
     def __add__(self, other):
         if not isinstance(other, CanonicalOperator):
@@ -249,8 +253,8 @@ def szego_commutator_entries(a: CanonicalOperator,
     (default: enough candidates to witness every nonzero term). The list is
     empty iff the operator commutes with the projector.
     """
-    if window is not None and window < 0:
-        raise ValueError("window must be nonnegative")
+    if window is not None:
+        check_window(window)
     entries = []
     for k, q in sorted(a._terms.items()):
         columns = required_vanishing(k, parity)

@@ -59,15 +59,22 @@ def projector_commutator_entries(a: CanonicalOperator, window: int,
 
     With a diagonal projector the commutator entry is
     ``(chi(row) - chi(col)) * a[row, col]``, which involves no truncated
-    sums: every reported value is the entry of the infinite matrix.
+    sums: every reported value is the entry of the infinite matrix. Only the
+    entries whose modes the projector separates are evaluated.
     """
     parity = Parity(parity)
     out = {}
-    for (row, col), value in exact_entries(a, window).items():
-        step = (int(projected_mode(row, parity))
-                - int(projected_mode(col, parity)))
-        if step:
-            out[row, col] = value if step > 0 else -value
+    for k, poly in a.terms.items():
+        for col in range(-window, window + 1):
+            row = col + k
+            if not -window <= row <= window:
+                continue
+            step = (int(projected_mode(row, parity))
+                    - int(projected_mode(col, parity)))
+            if step:
+                value = poly(col)
+                if value:
+                    out[row, col] = value if step > 0 else -value
     return out
 
 
@@ -78,117 +85,103 @@ def matrix_commutes(a: CanonicalOperator, window: int,
     Interior means both mode indices at distance at least the bandwidth
     from the window edge; nothing there is affected by truncation.
     """
-    parity = Parity(parity)
-    interior = window - a.bandwidth
-    for k, poly in a.terms.items():
-        for col in range(-interior, interior + 1):
-            row = col + k
-            if not -interior <= row <= interior:
-                continue
-            if projected_mode(row, parity) == projected_mode(col, parity):
-                continue
-            if poly(col):
-                return False
-    return True
+    return not projector_commutator_entries(a, window - a.bandwidth, parity)
 
 
-def _nonzero_gaussian(rng: Random, bound: int, real: bool) -> GaussianRational:
+def _nonzero_gaussian(rng: Random) -> GaussianRational:
     while True:
-        re = rng.randint(-bound, bound)
-        im = 0 if real else rng.randint(-bound, bound)
+        re = rng.randint(-9, 9)
+        im = rng.randint(-9, 9)
         if re or im:
             return GaussianRational(re, im)
 
 
-def random_polynomial(rng: Random, max_degree: int = 6, bound: int = 9, *,
-                      real: bool = False) -> Polynomial:
-    """Nonzero polynomial with integer coefficients in ``[-bound, bound]``."""
+def random_polynomial(rng: Random, max_degree: int = 6) -> Polynomial:
+    """Nonzero polynomial with Gaussian-integer coefficients in ``[-9, 9]``."""
     while True:
         degree = rng.randint(0, max_degree)
-        coeffs = [GaussianRational(rng.randint(-bound, bound),
-                                   0 if real else rng.randint(-bound, bound))
+        coeffs = [GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
                   for _ in range(degree + 1)]
         p = Polynomial(coeffs)
         if not p.is_zero():
             return p
 
 
-def random_operator(rng: Random, max_shift: int = 4, max_degree: int = 6,
-                    bound: int = 9, max_terms: int = 4) -> CanonicalOperator:
-    """Random operator from the batch-criterion ensemble."""
-    pool = list(range(-max_shift, max_shift + 1))
-    shifts = rng.sample(pool, rng.randint(1, max_terms))
-    return CanonicalOperator(
-        {k: random_polynomial(rng, max_degree, bound) for k in shifts})
+def random_operator(rng: Random) -> CanonicalOperator:
+    """Random operator from the batch-criterion ensemble: one to four
+    shifts in ``-4..4``."""
+    pool = list(range(-4, 5))
+    shifts = rng.sample(pool, rng.randint(1, 4))
+    return CanonicalOperator({k: random_polynomial(rng) for k in shifts})
 
 
-def random_commuting_operator(rng: Random, parity: Parity,
-                              max_shift: int = 4, max_degree: int = 6,
-                              bound: int = 9,
-                              max_terms: int = 3) -> CanonicalOperator:
-    """Random member of the commutant, planted via the divisor route.
+def random_commuting_operator(rng: Random, parity: Parity
+                              ) -> CanonicalOperator:
+    """Random member of the commutant with one to three shifts, planted via
+    the divisor route.
 
     The divisor comes from :func:`_leak_divisor`, not from the criterion's
     table, so the members stay independent of what they are checked
     against."""
     parity = Parity(parity)
     step = 1 if parity is Parity.FULL else 2
-    pool = list(range(-max_shift, max_shift + 1, step))
-    shifts = rng.sample(pool, rng.randint(1, max_terms))
+    pool = list(range(-4, 5, step))
+    shifts = rng.sample(pool, rng.randint(1, 3))
     terms = {}
     for k in shifts:
         divisor = _leak_divisor(k, parity)
-        room = max(0, max_degree - (divisor.degree or 0))
-        terms[k] = random_polynomial(rng, room, bound) * divisor
+        room = max(0, 6 - (divisor.degree or 0))
+        terms[k] = random_polynomial(rng, room) * divisor
     return CanonicalOperator(terms)
 
 
 def random_admissible_symbol(rng: Random, variant: SymbolVariant,
-                             max_degree: int = 5, max_modes: int = 3,
-                             bound: int = 9) -> LaurentSymbol:
-    """Random homogeneous symbol admissible for the given cut cone."""
+                             max_degree: int = 5) -> LaurentSymbol:
+    """Random homogeneous symbol admissible for the given cut cone, with
+    one to three modes."""
     variant = SymbolVariant(variant)
     degree = rng.randint(1, max_degree)
     if variant is SymbolVariant.M_PLUS_PLUS:
         pool = list(range(-degree, degree + 1))
     else:
         pool = list(range(-2 * degree, 2 * degree + 1, 2))
-    ks = rng.sample(pool, rng.randint(1, min(max_modes, len(pool))))
+    ks = rng.sample(pool, rng.randint(1, min(3, len(pool))))
     return LaurentSymbol.homogeneous(
-        degree, {k: _nonzero_gaussian(rng, bound, real=False) for k in ks})
+        degree, {k: _nonzero_gaussian(rng) for k in ks})
 
 
-def random_jet(rng: Random, max_total: int = 8, bound: int = 9, *,
-               even_only: bool = False, density: float = 0.4) -> Jet:
-    """Random jet; with ``even_only`` every monomial has even total degree."""
+def random_jet(rng: Random, max_total: int = 8, *,
+               even_only: bool = False) -> Jet:
+    """Random jet, each allowed monomial present with probability 0.4;
+    with ``even_only`` every monomial has even total degree."""
     dmax = rng.randint(0, max_total)
     coeffs = {}
     for k in range(dmax + 1):
         for l in range(dmax + 1 - k):
             if even_only and (k + l) % 2:
                 continue
-            if rng.random() < density:
-                coeffs[k, l] = GaussianRational(rng.randint(-bound, bound),
-                                                rng.randint(-bound, bound))
+            if rng.random() < 0.4:
+                coeffs[k, l] = GaussianRational(rng.randint(-9, 9),
+                                                rng.randint(-9, 9))
     return Jet(dmax, coeffs)
 
 
-def random_odd_jet(rng: Random, max_total: int = 8, bound: int = 9) -> Jet:
+def random_odd_jet(rng: Random) -> Jet:
     """Random jet guaranteed to carry at least one odd-degree monomial."""
-    dmax = rng.randint(1, max_total)
-    coeffs = dict(random_jet(rng, dmax, bound).coeffs)
+    dmax = rng.randint(1, 8)
+    coeffs = dict(random_jet(rng, dmax).coeffs)
     odd_pool = [(k, l) for k in range(dmax + 1) for l in range(dmax + 1 - k)
                 if (k + l) % 2]
     k, l = rng.choice(odd_pool)
-    coeffs[k, l] = _nonzero_gaussian(rng, bound, real=False)
+    coeffs[k, l] = _nonzero_gaussian(rng)
     return Jet(dmax, coeffs)
 
 
-def random_cone(rng: Random, bound: int = 9) -> Cone2:
+def random_cone(rng: Random) -> Cone2:
     """Random strictly convex planar cone with small generators."""
     while True:
-        u = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        u = (rng.randint(-9, 9), rng.randint(-9, 9))
+        v = (rng.randint(-9, 9), rng.randint(-9, 9))
         if u == (0, 0) or v == (0, 0):
             continue
         if u[0] * v[1] - u[1] * v[0] == 0:
@@ -196,10 +189,10 @@ def random_cone(rng: Random, bound: int = 9) -> Cone2:
         return Cone2(u, v)
 
 
-def random_unimodular(rng: Random, steps: int = 6) -> Unimodular2:
-    """Random word in shears and the swap; determinant is always +-1."""
+def random_unimodular(rng: Random) -> Unimodular2:
+    """Random word of six shears and swaps; determinant is always +-1."""
     result = Unimodular2.identity()
-    for _ in range(steps):
+    for _ in range(6):
         kind = rng.randrange(3)
         if kind == 0:
             factor = Unimodular2(((1, rng.randint(-3, 3)), (0, 1)))

@@ -47,7 +47,6 @@ class SelftestRow:
     row_id: str
     description: str
     run: object
-    diagnostic: bool = False
 
 
 def _row_raise_power(rng: Random):
@@ -488,7 +487,7 @@ def selftest_rows(include_uniform_range_diagnostic: bool = False):
         rows.insert(4, SelftestRow(
             "commutation-criterion-uniform-range",
             "diagnostic: mirrored negative-shift ranges (expected to fail)",
-            _row_uniform_range, diagnostic=True))
+            _row_uniform_range))
     return rows
 
 

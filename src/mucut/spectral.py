@@ -2,9 +2,10 @@
 
 Everything in this module deliberately leaves exact arithmetic for floats;
 exactness claims live in the normal-form layer. Spectra come from LAPACK
-(``numpy.linalg.eigvalsh``) on the dense projected compression, whose size is
-capped before allocation; bandwidth-0 compressions are diagonal, so their
-spectrum is the sorted diagonal and large-window counting stays cheap.
+(``numpy.linalg.eigvalsh``) on the dense projected compression;
+bandwidth-0 compressions are diagonal, so their spectrum is the sorted
+diagonal. Windows are capped before any mode is evaluated, and a value
+beyond the float range raises :class:`FloatOverflow`.
 """
 
 from __future__ import annotations
@@ -14,36 +15,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FitRangeTooSmall, NotElliptic, WindowTooLarge,
-                     WrongDegree)
+from .errors import FitRangeTooSmall, FloatOverflow, NotElliptic, WrongDegree
 from .exact import GaussianRational, Polynomial
-from .operators import (CanonicalOperator, Parity, require_self_adjoint,
-                        szego_commutes)
+from .operators import (CanonicalOperator, Parity, check_window,
+                        require_self_adjoint, szego_commutes)
 from .symbols import LaurentSymbol, leading_symbol
 
 SCHEMA = "mucut/1"
 
-#: Largest number of retained modes a dense compression may have: the
-#: command line's default window of 4096 keeps 4097 (a 268 MB matrix).
-MAX_DENSE_MODES = 4097
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted eigenvalues of a projected compression.
-
-    ``reliable`` flags the lower half of the computed values; truncation
-    corrupts the top of the window, so quantitative claims are only made for
-    flagged entries.
-    """
+    """Sorted eigenvalues of a projected compression."""
 
     values: np.ndarray
-    reliable: np.ndarray
-    window: int
-    parity: Parity
 
-    def __len__(self):
-        return len(self.values)
+    @property
+    def reliable(self) -> np.ndarray:
+        """Flags the lower half: truncation corrupts the top of the window,
+        so quantitative claims are only made for flagged entries."""
+        return np.arange(len(self.values)) < (len(self.values) + 1) // 2
 
     def count_below(self, threshold: float) -> int:
         return int(np.searchsorted(self.values, threshold, side="left"))
@@ -55,6 +46,7 @@ class Spectrum:
 
 
 def _retained_modes(window: int, parity: Parity) -> list:
+    check_window(window)
     if Parity(parity) is Parity.FULL:
         return list(range(0, window + 1))
     return list(range(0, 2 * window + 1, 2))
@@ -67,16 +59,8 @@ def projected_compression(a: CanonicalOperator, window: int,
     Retained modes are ``0..window`` (full) or ``0, 2, ..., 2*window``
     (even); entry ``[i, j]`` maps the j-th retained mode to the i-th.
     """
-    parity = Parity(parity)
-    if window < 0:
-        raise ValueError("window must be nonnegative")
-    size = window + 1
-    if size > MAX_DENSE_MODES:
-        raise WindowTooLarge(
-            f"window {window} retains {size} modes; a dense compression "
-            f"holds at most {MAX_DENSE_MODES}")
     modes = _retained_modes(window, parity)
-    matrix = np.zeros((size, size), dtype=complex)
+    matrix = np.zeros((len(modes), len(modes)), dtype=complex)
     index = {n: i for i, n in enumerate(modes)}
     for k, poly in a.terms.items():
         for j, n in enumerate(modes):
@@ -94,19 +78,16 @@ def projected_spectrum(a: CanonicalOperator, window: int,
     The operator must be exactly self-adjoint in normal form. Bandwidth-0
     compressions are diagonal and never build the dense matrix.
     """
-    parity = Parity(parity)
-    if window < 0:
-        raise ValueError("window must be nonnegative")
     require_self_adjoint(a)
     if a.bandwidth == 0:
         poly0 = a.terms.get(0, Polynomial.zero())
-        values = np.sort([float(poly0(n).re)
+        values = np.sort([complex(poly0(n)).real
                           for n in _retained_modes(window, parity)])
     else:
         values = np.linalg.eigvalsh(projected_compression(a, window, parity))
-    reliable = np.arange(len(values)) < (len(values) + 1) // 2
-    return Spectrum(values=values, reliable=reliable, window=window,
-                    parity=parity)
+    if not np.all(np.isfinite(values)):
+        raise FloatOverflow("a spectrum value exceeds the float range")
+    return Spectrum(values)
 
 
 def _elliptic_leading_data(a: CanonicalOperator):
@@ -122,7 +103,10 @@ def _elliptic_leading_data(a: CanonicalOperator):
     if not c.is_real() or c.re <= 0 or m < 1:
         raise NotElliptic(
             f"leading symbol {c}*s^{m} is not positive and increasing")
-    return float(c.re), m
+    value = complex(c).real
+    if not value:
+        raise FloatOverflow("the leading coefficient underflows to 0.0")
+    return value, m
 
 
 @dataclass(frozen=True)
@@ -145,13 +129,17 @@ class ExperimentReport:
               ) -> "ExperimentReport":
         observed = tuple(float(v) for v in observed)
         predicted = tuple(float(v) for v in predicted)
+        fitted = dict(fitted or {})
         if len(observed) != len(predicted):
             raise ValueError("observed and predicted lengths differ")
         residual = max((abs(o - p) for o, p in zip(observed, predicted)),
                        default=0.0)
+        numbers = observed + predicted + (residual,) + tuple(
+            v for v in fitted.values() if isinstance(v, float))
+        if not all(map(math.isfinite, numbers)):
+            raise FloatOverflow("a report value exceeds the float range")
         return ExperimentReport(params=dict(params), observed=observed,
-                                predicted=predicted,
-                                fitted=dict(fitted or {}),
+                                predicted=predicted, fitted=fitted,
                                 max_residual=residual)
 
     def to_json(self) -> dict:
@@ -194,26 +182,33 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def weyl_compare(a: CanonicalOperator, window: int, grid=None,
+def weyl_compare(a: CanonicalOperator, window: int,
+                 grid_max: float | None = None,
                  parity: Parity = Parity.FULL,
                  grid_points: int = 64) -> ExperimentReport:
     """Eigenvalue counting against the sublevel measure of the top symbol.
 
     Observed: how many compressed eigenvalues lie below each grid value.
     Predicted: the Lebesgue measure of ``{s >= 0 : c * s**m < lam}``, which
-    for a monomial symbol is ``(lam / c)**(1/m)``. Agreement is claimed only
-    up to the reliability threshold, the symbol value at half the window.
+    for a monomial symbol is ``(lam / c)**(1/m)``. The grid runs in
+    ``grid_points`` steps up to ``grid_max``, by default the reliability
+    threshold (the symbol value at half the window) up to which it is claimed.
     """
     parity = Parity(parity)
     if not szego_commutes(a, parity):
         raise NotElliptic(
             f"operator does not commute with the {parity.value} projector")
     c, m = _elliptic_leading_data(a)
-    lam_top = c * (window / 2.0) ** m
-    if grid is None:
-        grid = np.linspace(lam_top / grid_points, lam_top, grid_points)
-    grid = [float(lam) for lam in grid]
     spectrum = projected_spectrum(a, window, parity)
+    if grid_max is None:
+        try:
+            grid_max = c * (window / 2.0) ** m
+        except OverflowError:
+            grid_max = math.inf
+    if not math.isfinite(grid_max):
+        raise FloatOverflow("the grid top exceeds the float range")
+    grid = [float(lam) for lam in
+            np.linspace(grid_max / grid_points, grid_max, grid_points)]
     observed = [spectrum.count_below(lam) for lam in grid]
     predicted = [0.0 if lam <= 0 else (lam / c) ** (1.0 / m) for lam in grid]
     params = {
@@ -241,6 +236,8 @@ def residue_contour(sigma: LaurentSymbol):
     c = (GaussianRational(0) if sigma.is_zero()
          else sigma.homogeneous_coefficient(0))
     value = complex(c) * 2.0 * math.pi
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise FloatOverflow("the contour residue exceeds the float range")
     if value.imag == 0.0:
         return value.real
     return value
@@ -254,14 +251,15 @@ def _log_spaced_integers(lo: int, hi: int, max_points: int) -> list:
     return [int(p) for p in points if lo <= p <= hi]
 
 
-def residue_log_fit(diagonal, fit_range=(1000, 100000),
-                    max_points: int = 512) -> ExperimentReport:
+# an overflow shows as a non-finite value, which ExperimentReport.build rejects
+@np.errstate(over="ignore", invalid="ignore")
+def residue_log_fit(diagonal, fit_range=(1000, 100000)) -> ExperimentReport:
     """Least-squares fit of partial sums against ``c*log(N) + b``.
 
     ``diagonal[i]`` is the term at index ``i + 1``; partial sums are taken
-    at log-spaced sample points inside ``fit_range``. The fitted slope ``c``
-    estimates the logarithmic divergence rate; the residue convention
-    reported alongside is ``2*pi*c``.
+    at up to 512 log-spaced sample points inside ``fit_range``. The fitted
+    slope ``c`` estimates the logarithmic divergence rate; the residue
+    convention reported alongside is ``2*pi*c``.
     """
     diag = np.asarray(diagonal, dtype=float)
     lo, hi = int(fit_range[0]), int(fit_range[1])
@@ -271,7 +269,7 @@ def residue_log_fit(diagonal, fit_range=(1000, 100000),
         raise FitRangeTooSmall(
             f"fit range [{lo}, {hi}] has fewer than 8 sample points")
     sums = np.cumsum(diag)
-    samples = _log_spaced_integers(lo, hi, max_points)
+    samples = _log_spaced_integers(lo, hi, 512)
     observed = [float(sums[n - 1]) for n in samples]
     logs = np.array([math.log(n) for n in samples])
     design = np.column_stack([logs, np.ones(len(samples))])

@@ -97,9 +97,6 @@ class LaurentSymbol(_TermMap):
         """Homogeneity degree, or ``None`` when mixed or zero."""
         return self._degree
 
-    def coefficient(self, k: int) -> Polynomial:
-        return self._terms.get(k, Polynomial.zero())
-
     def homogeneous_coefficient(self, k: int) -> GaussianRational:
         """Bare coefficient of mode k for a degree-tagged symbol."""
         if self._degree is None:
@@ -129,13 +126,6 @@ class LaurentSymbol(_TermMap):
         return LaurentSymbol(_term_sum(
             (k + l, p * q)
             for k, p in self._terms.items() for l, q in other._terms.items()))
-
-    def conjugate_reflect(self) -> "LaurentSymbol":
-        """Complex-conjugate coefficients and reflect modes ``k -> -k``;
-        the symbol-level image of the operator adjoint."""
-        return LaurentSymbol(
-            {-k: p.conjugate() for k, p in self._terms.items()},
-            degree=self._degree)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSymbol):

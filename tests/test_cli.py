@@ -82,15 +82,45 @@ MALFORMED_PAYLOADS = [
                  id="generator-bool"),
 ]
 
+LOW, HIGH, FINITE = "must be at least", "must be at most", "finite"
+
 OUT_OF_RANGE_ARGS = [
-    pytest.param(("spectrum", DIAG, "--window", "-1"), id="spectrum-window"),
-    pytest.param(("weyl", DIAG, "--window", "-1"), id="weyl-window"),
-    pytest.param(("weyl", DIAG, "--window", "8", "--grid-points", "0"),
+    pytest.param(("spectrum", DIAG, "--window", "-1"), LOW,
+                 id="spectrum-window"),
+    pytest.param(("weyl", DIAG, "--window", "-1"), LOW, id="weyl-window"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-points", "0"), LOW,
                  id="weyl-grid-points"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-points", "4098"),
+                 HIGH, id="weyl-grid-points-high"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-max", "nan"),
+                 FINITE, id="weyl-grid-max-nan"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-max", "inf"),
+                 FINITE, id="weyl-grid-max-inf"),
+    pytest.param(("weyl", DIAG, "--window", "8", "--grid-max", "0"),
+                 FINITE, id="weyl-grid-max-zero"),
     pytest.param(("commutant-check", RAISE, "--parity", "even",
-                  "--window", "-5"), id="commutant-check-window"),
-    pytest.param(("cone-lens", "--p", "0", "--q", "1"), id="cone-lens-p"),
+                  "--window", "-5"), LOW, id="commutant-check-window"),
+    pytest.param(("cone-lens", "--p", "0", "--q", "1"), LOW, id="cone-lens-p"),
+    pytest.param(("identity-pk", "--max-k", "41"), HIGH,
+                 id="identity-pk-max-k"),
+    pytest.param(("residue", "--harmonic", "7"), LOW, id="residue-harmonic"),
+    pytest.param(("residue", "--harmonic", str(10**6 + 1)), HIGH,
+                 id="residue-harmonic-high"),
 ]
+
+# Each of these enumerates one mode per window index, so all of them are
+# capped like the dense compression.
+WINDOW_CAPPED_ARGS = [
+    pytest.param(("weyl", DIAG), id="weyl-diagonal"),
+    pytest.param(("spectrum", DIAG), id="spectrum-diagonal"),
+    pytest.param(("commutant-check", RAISE, "--parity", "even"),
+                 id="commutant-check-odd-shift"),
+]
+
+HUGE = "1" + "0" * 400
+HUGE_DIAG = DIAG.replace('"re": "1/1"', f'"re": "{HUGE}/1"')
+HUGE_SYMBOL = ('{"degree": -1, "modes": [{"k": 0, "poly": '
+               f'[{{"re": "{HUGE}/1", "im": "0/1"}}]}}]}}')
 
 
 class TestExitCodes:
@@ -125,9 +155,15 @@ class TestExitCodes:
                      ("residue", "--diagonal", str(path))):
             assert_one_line_error(*run(capsys, *argv), "invalid JSON input")
 
-    @pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGS)
-    def test_out_of_range_argument(self, capsys, argv):
-        assert_one_line_error(*run(capsys, *argv), "must be at least")
+    @pytest.mark.parametrize("argv,needle", OUT_OF_RANGE_ARGS)
+    def test_out_of_range_argument(self, capsys, argv, needle):
+        assert_one_line_error(*run(capsys, *argv), needle)
+
+    @pytest.mark.parametrize("argv", WINDOW_CAPPED_ARGS)
+    def test_every_window_capped(self, capsys, argv):
+        code, payload = run_json(capsys, *argv, "--window", str(10**6))
+        assert code == 2
+        assert payload["error"] == "window-too-large"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "identity-pk", "--bogus")
@@ -144,6 +180,35 @@ class TestExitCodes:
         code, out, _ = run(capsys, "selftest", "--uniform-negative-range")
         assert code == 3
         assert "FAIL" in out
+
+
+class TestFloatBoundary:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", HUGE_DIAG, "--window", "8"),
+        ("weyl", HUGE_DIAG, "--window", "8"),
+        ("residue", HUGE_SYMBOL)], ids=["spectrum", "weyl", "contour"])
+    def test_exact_value_beyond_float_range(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"] == "float-overflow"
+
+    @pytest.mark.parametrize("text", [
+        "1\nnan\n2\n", "1\n1e999\n", "[1, NaN]", "[1, -Infinity]",
+        f"[1, {HUGE}]"], ids=["nan-line", "overflow-line", "json-nan",
+                              "json-infinity", "json-huge-int"])
+    def test_nonfinite_diagonal_is_malformed(self, capsys, tmp_path, text):
+        path = tmp_path / "diag.txt"
+        path.write_text(text)
+        assert_one_line_error(*run(capsys, "residue", "--diagonal", str(path)),
+                              "finite")
+
+    def test_overflowing_partial_sums(self, capsys, tmp_path):
+        path = tmp_path / "diag.txt"
+        path.write_text("1e308\n" * 10)
+        code, payload = run_json(capsys, "residue", "--diagonal", str(path),
+                                 "--fit-lo", "1", "--fit-hi", "10")
+        assert code == 2
+        assert payload["error"] == "float-overflow"
 
 
 class TestCommutantCheck:

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mucut.exact
-from mucut import (GaussianRational, NonzeroRemainder, Polynomial,
-                   Unimodular2, ZeroVector, bezout, poly_divide_exact,
-                   primitive, rational_from_str, rational_to_str)
+from mucut import (FloatOverflow, GaussianRational, NonzeroRemainder,
+                   Polynomial, Unimodular2, ZeroVector, bezout,
+                   poly_divide_exact, primitive, rational_from_str,
+                   rational_to_str)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -80,6 +81,13 @@ class TestGaussianRational:
     def test_i_squared(self):
         i = GaussianRational(0, 1)
         assert i * i == -1
+
+    def test_float_conversion(self):
+        assert complex(GaussianRational(Fraction(1, 4), -3)) == 0.25 - 3j
+        for z in (GaussianRational(10**400), GaussianRational(0, -10**400),
+                  GaussianRational(Fraction(10**400, 3))):
+            with pytest.raises(FloatOverflow):
+                complex(z)
 
     def test_json_round_trip(self):
         z = GaussianRational(Fraction(-1, 3), Fraction(7, 2))

@@ -8,8 +8,8 @@ import mucut
 
 PACKAGE = Path(mucut.__file__).parent
 
-# Only the float layers and the front ends that drive them may use numpy.
-NUMPY_MODULES = {"spectral.py", "selftest.py", "cli.py"}
+# Only the float layer and the selftest that drives it may use numpy.
+NUMPY_MODULES = {"spectral.py", "selftest.py"}
 
 
 def imported_roots(path: Path) -> set:

@@ -1,12 +1,13 @@
 """Float layer: projected spectra, Weyl counts, residue fits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mucut import (CanonicalOperator, ExperimentReport, FitRangeTooSmall,
-                   GaussianRational, LaurentSymbol, NotElliptic,
+                   FloatOverflow, GaussianRational, LaurentSymbol, NotElliptic,
                    NotSelfAdjoint, Polynomial, Spectrum, WindowTooLarge,
                    make_generator, projected_compression, projected_spectrum,
                    residue_contour, residue_log_fit, weyl_compare, Parity)
@@ -60,8 +61,16 @@ class TestProjectedSpectrum:
         for parity in (Parity.FULL, Parity.EVEN):
             with pytest.raises(WindowTooLarge):
                 projected_compression(Raise + Lower, 10**6, parity)
+            for a in (Raise + Lower, D):
+                with pytest.raises(WindowTooLarge):
+                    projected_spectrum(a, 10**6, parity)
             with pytest.raises(WindowTooLarge):
-                projected_spectrum(Raise + Lower, 10**6, parity)
+                weyl_compare(D, 10**6, parity=parity)
+
+    def test_spectrum_beyond_float_range(self):
+        big = Polynomial([10**308])
+        with pytest.raises(FloatOverflow):
+            projected_spectrum(CanonicalOperator({-1: big, 0: big, 1: big}), 4)
 
 
 class TestWeylCounting:
@@ -86,6 +95,19 @@ class TestWeylCounting:
     def test_rejects_angular_top_symbol(self):
         with pytest.raises(NotElliptic):
             weyl_compare(Raise, 32)
+
+    def test_grid_max(self):
+        report = weyl_compare(D, 64, grid_max=100.0, grid_points=4)
+        assert report.params["grid"] == [25.0, 50.0, 75.0, 100.0]
+
+    def test_threshold_beyond_float_range(self):
+        tiny = CanonicalOperator({0: Polynomial([0, Fraction(1, 10**400)])})
+        with pytest.raises(FloatOverflow):
+            weyl_compare(tiny, 8, grid_max=1.0)
+        steep = CanonicalOperator(
+            {0: Polynomial.monomial(120, Fraction(1, 10**300))})
+        with pytest.raises(FloatOverflow):
+            weyl_compare(steep, 1024)
 
     def test_rejects_noncommuting(self):
         with pytest.raises(NotElliptic):
@@ -142,6 +164,12 @@ class TestExperimentReport:
         report = ExperimentReport.build({"window": 4}, [1.0], [2.0],
                                         {"c": 3.0})
         assert ExperimentReport.from_json(report.to_json()) == report
+
+    def test_nonfinite_values_rejected(self):
+        for observed, fitted in (([math.inf], {}), ([math.nan], {}),
+                                 ([1.0], {"c": math.nan})):
+            with pytest.raises(FloatOverflow):
+                ExperimentReport.build({}, observed, [1.0], fitted)
 
     def test_tampered_residual_rejected(self):
         blob = ExperimentReport.build({}, [1.0], [2.0]).to_json()
