@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -139,6 +140,8 @@ def _generic_csv(payload: dict) -> str:
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> int:
+    """Write the report under the schema tag, in the requested format."""
+    payload = {"schema": SCHEMA, **payload}
     if args.format == "csv":
         text = csv_text if csv_text is not None else _generic_csv(payload)
     else:
@@ -172,7 +175,6 @@ def _cmd_commutant_check(args) -> int:
     parity = Parity(args.parity)
     entries = szego_commutator_entries(op, parity, window=args.window)
     payload = {
-        "schema": SCHEMA,
         "parity": parity.value,
         "commutes": szego_commutes(op, parity),
         "violations": [{"row": r, "col": c, "value": v.to_json()}
@@ -186,7 +188,6 @@ def _cmd_factorize(args) -> int:
     parity = Parity(args.parity)
     factors = commutant_factorize(op, parity)
     payload = {
-        "schema": SCHEMA,
         "parity": parity.value,
         "factors": [{"k": k,
                      "cofactor": factors[k].to_json(),
@@ -200,7 +201,6 @@ def _cmd_identity_pk(args) -> int:
     failures = [k for k in range(1, args.max_k + 1)
                 if not verify_pk_identity(k)]
     payload = {
-        "schema": SCHEMA,
         "max_k": args.max_k,
         "all_hold": not failures,
         "failures": failures,
@@ -213,7 +213,6 @@ def _cmd_spectrum(args) -> int:
     parity = Parity(args.parity)
     spectrum = projected_spectrum(op, args.window, parity)
     payload = {
-        "schema": SCHEMA,
         "window": args.window,
         "parity": parity.value,
         "values": [float(v) for v in spectrum.values],
@@ -240,7 +239,7 @@ def _load_diagonal(text: str):
         except ValueError as exc:
             raise MalformedInput(f"invalid diagonal data: {exc}")
     if not isinstance(data, list) or not all(
-            isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+            type(x) in (int, float) and abs(x) <= sys.float_info.max
             for x in data):
         raise MalformedInput("diagonal must be a list of finite numbers")
     return [float(x) for x in data]
@@ -259,7 +258,7 @@ def _cmd_residue(args) -> int:
             reported = {"re": value.real, "im": value.imag}
         else:
             reported = value
-        payload = {"schema": SCHEMA, "contour_residue": reported}
+        payload = {"contour_residue": reported}
         return _emit(args, payload)
     if args.harmonic is not None:
         diagonal = [1.0 / n for n in range(1, args.harmonic + 1)]
@@ -272,7 +271,6 @@ def _cmd_residue(args) -> int:
 def _cmd_jet_extend(args) -> int:
     jet = _parse(Jet, _load_payload(args.input), "jet")
     payload = {
-        "schema": SCHEMA,
         "extends": extends_smoothly(jet),
         "odd_monomials": [[k, l] for k, l in odd_monomials(jet)],
     }
@@ -283,7 +281,6 @@ def _cmd_pullback(args) -> int:
     jet = _parse(Jet, _load_payload(args.input), "jet")
     sigma = pullback_jet(jet, SymbolVariant(args.variant))
     payload = {
-        "schema": SCHEMA,
         "variant": args.variant,
         "symbol": sigma.to_json(),
     }
@@ -294,7 +291,6 @@ def _cmd_pushforward(args) -> int:
     sigma = _parse(LaurentSymbol, _load_payload(args.input), "symbol")
     jet = pushforward_symbol(sigma, SymbolVariant(args.variant))
     payload = {
-        "schema": SCHEMA,
         "variant": args.variant,
         "jet": jet.to_json(),
     }
@@ -304,7 +300,6 @@ def _cmd_pushforward(args) -> int:
 def _cmd_cone_lens(args) -> int:
     cone = lens_cone(args.p, args.q)
     payload = {
-        "schema": SCHEMA,
         "cone": cone.to_json(),
         "normal_form": normal_form(cone).to_json(),
     }
@@ -315,7 +310,6 @@ def _cmd_cone_cut(args) -> int:
     cone = _parse(Cone2, _load_payload(args.input), "cone")
     result = cut_cone(cone, tuple(args.normal))
     payload = {
-        "schema": SCHEMA,
         "normal": list(args.normal),
         "cone": result.to_json(),
     }
@@ -333,7 +327,6 @@ def _cmd_cone_equiv(args) -> int:
     form_second = normal_form(second)
     witness = equivalence_witness(first, second)
     payload = {
-        "schema": SCHEMA,
         "equivalent": form_first == form_second,
         "normal_form": form_first.to_json(),
         "second_normal_form": form_second.to_json(),
@@ -347,7 +340,6 @@ def _cmd_cone_plan(args) -> int:
     n_u, n_v = cut_plan(cone)
     rebuilt = cut_cone(cut_cone(FULL_PLANE, n_u), n_v)
     payload = {
-        "schema": SCHEMA,
         "normals": [list(n_u), list(n_v)],
         "round_trip": rebuilt == cone,
     }
@@ -383,16 +375,32 @@ def _cmd_selftest(args) -> int:
     return 0 if report["passed"] else 3
 
 
-def _add_io_options(parser, *, formats=("json", "csv")) -> None:
-    parser.add_argument("--format", choices=formats, default=formats[0],
-                        help="report format (default %(default)s)")
-    parser.add_argument("--output", metavar="PATH",
-                        help="write the report to a file instead of stdout")
-
-
 def _add_parity_option(parser) -> None:
     parser.add_argument("--parity", choices=("full", "even"), default="full",
                         help="projector variant (default %(default)s)")
+
+
+def _add_variant_option(parser) -> None:
+    parser.add_argument("--variant", choices=[v.value for v in SymbolVariant],
+                        default=SymbolVariant.M_PLUS_EVEN.value,
+                        help="cut cone variant (default %(default)s)")
+
+
+@contextlib.contextmanager
+def _command(sub, name: str, handler, help_text: str, noun=None,
+             formats=("json", "csv")):
+    """Register a subcommand: its ``<noun> JSON`` payload positional when a
+    noun is given, then what the ``with`` body adds, then ``--format`` and
+    ``--output``."""
+    p = sub.add_parser(name, help=help_text)
+    if noun:
+        p.add_argument("input", help=f"{noun} JSON (inline, path, or -)")
+    yield p
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help="report format (default %(default)s)")
+    p.add_argument("--output", metavar="PATH",
+                   help="write the report to a file instead of stdout")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> _Parser:
@@ -400,128 +408,82 @@ def build_parser() -> _Parser:
                      description="Verification commands for the mode-cut "
                                  "operator calculus.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("commutant-check",
-                       help="test commutation with the projector")
-    p.add_argument("input", help="operator JSON (inline, path, or -)")
-    _add_parity_option(p)
-    p.add_argument("--window", type=_bounded_int(0), default=None,
-                   help="truncate witness entries to this mode window")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_commutant_check)
-
-    p = sub.add_parser("factorize",
-                       help="factor a commutant member through its divisors")
-    p.add_argument("input", help="operator JSON (inline, path, or -)")
-    _add_parity_option(p)
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_factorize)
-
-    p = sub.add_parser("identity-pk",
-                       help="check the raising-power product identity")
-    p.add_argument("--max-k", type=_bounded_int(1, 40), default=10,
-                   help="largest power to check (default %(default)s)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_identity_pk)
-
-    p = sub.add_parser("spectrum",
-                       help="eigenvalues of the projected compression")
-    p.add_argument("input", help="operator JSON (inline, path, or -)")
-    p.add_argument("--window", type=_bounded_int(0), required=True,
-                   help="mode window for the compression")
-    _add_parity_option(p)
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("weyl",
-                       help="eigenvalue counting against sublevel measure")
-    p.add_argument("input", help="operator JSON (inline, path, or -)")
-    p.add_argument("--window", type=_bounded_int(0), default=4096,
-                   help="mode window (default %(default)s)")
-    p.add_argument("--grid-max", type=_positive_float, default=None,
-                   help="top of the threshold grid (default: symbol value "
-                        "at half the window)")
-    p.add_argument("--grid-points", type=_bounded_int(1, MAX_WINDOW_MODES),
-                   default=64,
-                   help="number of grid thresholds (default %(default)s)")
-    _add_parity_option(p)
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_weyl)
-
-    p = sub.add_parser("residue",
-                       help="residue trace: contour value or log-divergence fit")
-    p.add_argument("input", nargs="?", default=None,
-                   help="degree -1 symbol JSON for the contour route")
-    p.add_argument("--diagonal", metavar="PATH",
-                   help="diagonal values for the log fit (JSON array or "
-                        "one number per line)")
-    p.add_argument("--harmonic", type=_bounded_int(8, 10**6), default=None,
-                   metavar="N",
-                   help="fit the harmonic diagonal 1/n with N terms")
-    p.add_argument("--fit-lo", type=int, default=1000,
-                   help="lower end of the fit range (default %(default)s)")
-    p.add_argument("--fit-hi", type=int, default=100000,
-                   help="upper end of the fit range (default %(default)s)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_residue)
-
-    p = sub.add_parser("jet-extend",
-                       help="decide smooth extension to the cut cones")
-    p.add_argument("input", help="jet JSON (inline, path, or -)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_jet_extend)
-
-    p = sub.add_parser("pullback", help="jet to cut-cone symbol")
-    p.add_argument("input", help="jet JSON (inline, path, or -)")
-    p.add_argument("--variant", choices=[v.value for v in SymbolVariant],
-                   default=SymbolVariant.M_PLUS_EVEN.value,
-                   help="cut cone variant (default %(default)s)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_pullback)
-
-    p = sub.add_parser("pushforward", help="cut-cone symbol to jet")
-    p.add_argument("input", help="symbol JSON (inline, path, or -)")
-    p.add_argument("--variant", choices=[v.value for v in SymbolVariant],
-                   default=SymbolVariant.M_PLUS_EVEN.value,
-                   help="cut cone variant (default %(default)s)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_pushforward)
-
-    p = sub.add_parser("cone-lens", help="standard lens cone and its invariant")
-    p.add_argument("--p", type=_bounded_int(1), required=True)
-    p.add_argument("--q", type=_bounded_int(1), required=True)
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_cone_lens)
-
-    p = sub.add_parser("cone-cut", help="intersect a cone with a half-plane")
-    p.add_argument("input", help="cone JSON (inline, path, or -)")
-    p.add_argument("--normal", type=int, nargs=2, required=True,
-                   metavar=("A", "B"), help="inward normal of the cut")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_cone_cut)
-
-    p = sub.add_parser("cone-equiv",
-                       help="decide unimodular equivalence of two cones")
-    p.add_argument("input",
-                   help='JSON {"first": <cone>, "second": <cone>}')
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_cone_equiv)
-
-    p = sub.add_parser("cone-plan",
-                       help="facet normals whose cuts rebuild the cone")
-    p.add_argument("input", help="cone JSON (inline, path, or -)")
-    _add_io_options(p)
-    p.set_defaults(handler=_cmd_cone_plan)
-
-    p = sub.add_parser("selftest", help="run the full invariant suite")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the fixed seed (or set MUCUT_SEED)")
-    p.add_argument("--uniform-negative-range", action="store_true",
-                   help="include the diagnostic row running the mirrored "
-                        "negative-shift ranges (expected to fail)")
-    _add_io_options(p, formats=("table", "json", "csv"))
-    p.set_defaults(handler=_cmd_selftest)
-
+    with _command(sub, "commutant-check", _cmd_commutant_check,
+                  "test commutation with the projector", "operator") as p:
+        _add_parity_option(p)
+        p.add_argument("--window", type=_bounded_int(0), default=None,
+                       help="truncate witness entries to this mode window")
+    with _command(sub, "factorize", _cmd_factorize,
+                  "factor a commutant member through its divisors",
+                  "operator") as p:
+        _add_parity_option(p)
+    with _command(sub, "identity-pk", _cmd_identity_pk,
+                  "check the raising-power product identity") as p:
+        p.add_argument("--max-k", type=_bounded_int(1, 40), default=10,
+                       help="largest power to check (default %(default)s)")
+    with _command(sub, "spectrum", _cmd_spectrum,
+                  "eigenvalues of the projected compression", "operator") as p:
+        p.add_argument("--window", type=_bounded_int(0), required=True,
+                       help="mode window for the compression")
+        _add_parity_option(p)
+    with _command(sub, "weyl", _cmd_weyl,
+                  "eigenvalue counting against sublevel measure",
+                  "operator") as p:
+        p.add_argument("--window", type=_bounded_int(0), default=4096,
+                       help="mode window (default %(default)s)")
+        p.add_argument("--grid-max", type=_positive_float, default=None,
+                       help="top of the threshold grid (default: symbol "
+                            "value at half the window)")
+        p.add_argument("--grid-points", type=_bounded_int(1, MAX_WINDOW_MODES),
+                       default=64,
+                       help="number of grid thresholds (default %(default)s)")
+        _add_parity_option(p)
+    with _command(sub, "residue", _cmd_residue,
+                  "residue trace: contour value or log-divergence fit") as p:
+        p.add_argument("input", nargs="?", default=None,
+                       help="degree -1 symbol JSON for the contour route")
+        p.add_argument("--diagonal", metavar="PATH",
+                       help="diagonal values for the log fit (JSON array or "
+                            "one number per line)")
+        p.add_argument("--harmonic", type=_bounded_int(8, 10**6),
+                       default=None, metavar="N",
+                       help="fit the harmonic diagonal 1/n with N terms")
+        p.add_argument("--fit-lo", type=int, default=1000,
+                       help="lower end of the fit range (default %(default)s)")
+        p.add_argument("--fit-hi", type=int, default=100000,
+                       help="upper end of the fit range (default %(default)s)")
+    with _command(sub, "jet-extend", _cmd_jet_extend,
+                  "decide smooth extension to the cut cones", "jet"):
+        pass
+    with _command(sub, "pullback", _cmd_pullback, "jet to cut-cone symbol",
+                  "jet") as p:
+        _add_variant_option(p)
+    with _command(sub, "pushforward", _cmd_pushforward,
+                  "cut-cone symbol to jet", "symbol") as p:
+        _add_variant_option(p)
+    with _command(sub, "cone-lens", _cmd_cone_lens,
+                  "standard lens cone and its invariant") as p:
+        p.add_argument("--p", type=_bounded_int(1), required=True)
+        p.add_argument("--q", type=_bounded_int(1), required=True)
+    with _command(sub, "cone-cut", _cmd_cone_cut,
+                  "intersect a cone with a half-plane", "cone") as p:
+        p.add_argument("--normal", type=int, nargs=2, required=True,
+                       metavar=("A", "B"), help="inward normal of the cut")
+    with _command(sub, "cone-equiv", _cmd_cone_equiv,
+                  "decide unimodular equivalence of two cones") as p:
+        p.add_argument("input",
+                       help='JSON {"first": <cone>, "second": <cone>}')
+    with _command(sub, "cone-plan", _cmd_cone_plan,
+                  "facet normals whose cuts rebuild the cone", "cone"):
+        pass
+    with _command(sub, "selftest", _cmd_selftest,
+                  "run the full invariant suite",
+                  formats=("table", "json", "csv")) as p:
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the fixed seed (or set MUCUT_SEED)")
+        p.add_argument("--uniform-negative-range", action="store_true",
+                       help="include the diagnostic row running the mirrored "
+                            "negative-shift ranges (expected to fail)")
     return parser
 
 

@@ -10,7 +10,6 @@ witness matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateCut, EmptyCut, NotCoprime
@@ -132,12 +131,12 @@ def sphere_cone() -> Cone2:
 
 
 def contains(cone: Cone2, w) -> bool:
-    """Exact membership: solve ``w = t1*u + t2*v`` over the rationals."""
+    """Exact membership: ``w = t1*u + t2*v`` with ``t1, t2 >= 0``, where by
+    Cramer's rule each ``t`` has the sign of an integer determinant times
+    ``det(u, v)``."""
     w = tuple(int(c) for c in w)
     d = _det(cone.u, cone.v)
-    t1 = Fraction(_det(w, cone.v), d)
-    t2 = Fraction(_det(cone.u, w), d)
-    return t1 >= 0 and t2 >= 0
+    return _det(w, cone.v) * d >= 0 and _det(cone.u, w) * d >= 0
 
 
 def cut_cone(cone, normal):

@@ -183,8 +183,6 @@ class GaussianRational:
                    rational_from_str(data.get("im", "0")))
 
 
-I = GaussianRational(0, 1)
-
 _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 

@@ -3,9 +3,9 @@
 An operator is a finite sum of terms ``(k, q)`` acting on Fourier modes by
 ``e(n) -> q(n) * e(n + k)`` where ``e(n)`` is the n-th exponential mode. The
 module provides the generator set, composition and adjoint in this normal
-form, the exact commutation criteria against the Szego projector (full and
-even-mode variants), the sparse commutator kernel and the commutant
-factorization.
+form, its matrix on a set of modes, the exact commutation criteria against
+the Szego projector (full and even-mode variants), the sparse commutator
+kernel and the commutant factorization.
 """
 
 from __future__ import annotations
@@ -41,6 +41,19 @@ class Parity(enum.Enum):
 
     FULL = "full"
     EVEN = "even"
+
+    @property
+    def step(self) -> int:
+        """Spacing of the retained modes: 1 (full) or 2 (even)."""
+        return 1 if self is Parity.FULL else 2
+
+
+def retained_modes(window: int, parity: Parity) -> range:
+    """The first ``window + 1`` modes the projector keeps: ``0..window``
+    (full) or ``0, 2, ..., 2*window`` (even)."""
+    check_window(window)
+    step = Parity(parity).step
+    return range(0, step * window + 1, step)
 
 
 class GeneratorName(enum.Enum):
@@ -164,6 +177,19 @@ def adjoint(a: CanonicalOperator) -> CanonicalOperator:
         {-k: q.conjugate().shift(-k) for k, q in a._terms.items()})
 
 
+def matrix_terms(a: CanonicalOperator, modes):
+    """The matrix of ``a`` on a set of modes, term by term.
+
+    Yields ``(row, col, q)`` for each term ``(k, q)`` and each ``col`` in
+    ``modes`` with ``row = col + k`` also in ``modes``; the entry there is
+    ``q(col)``, left to the caller to evaluate.
+    """
+    for k, q in a._terms.items():
+        for col in modes:
+            if col + k in modes:
+                yield col + k, col, q
+
+
 def make_generator(name: GeneratorName | str) -> CanonicalOperator:
     """The distinguished generators of the two commutant algebras.
 
@@ -209,9 +235,11 @@ def required_vanishing(k: int, parity: Parity):
 
     These are the retained-parity modes that the shift carries across
     zero. This is the one table of the commutation criterion: the
-    divisors, the commutator entries and symbol admissibility all read it.
+    divisors, the commutator entries and symbol admissibility all read it,
+    so its shift cap bounds every enumeration by shift.
     """
-    step = 1 if Parity(parity) is Parity.FULL else 2
+    check_window(abs(k))
+    step = Parity(parity).step
     if k % step:
         return None
     if k > 0:

@@ -17,15 +17,13 @@ from random import Random
 from .cones import Cone2
 from .cutspace import Jet
 from .exact import GaussianRational, Polynomial, Unimodular2
-from .operators import CanonicalOperator, Parity
+from .operators import CanonicalOperator, Parity, matrix_terms
 from .symbols import LaurentSymbol, SymbolVariant
 
 
 def projected_mode(n: int, parity: Parity) -> bool:
     """Whether mode ``n`` survives the projector of the given parity."""
-    if n < 0:
-        return False
-    return Parity(parity) is Parity.FULL or n % 2 == 0
+    return n >= 0 and n % Parity(parity).step == 0
 
 
 def _leak_divisor(k: int, parity: Parity) -> Polynomial:
@@ -42,14 +40,10 @@ def exact_entries(a: CanonicalOperator, window: int) -> dict:
     Keys are ``(row, col)`` mode pairs, values exact scalars.
     """
     out = {}
-    for k, poly in a.terms.items():
-        for col in range(-window, window + 1):
-            row = col + k
-            if not -window <= row <= window:
-                continue
-            value = poly(col)
-            if value:
-                out[row, col] = value
+    for row, col, poly in matrix_terms(a, range(-window, window + 1)):
+        value = poly(col)
+        if value:
+            out[row, col] = value
     return out
 
 
@@ -64,17 +58,13 @@ def projector_commutator_entries(a: CanonicalOperator, window: int,
     """
     parity = Parity(parity)
     out = {}
-    for k, poly in a.terms.items():
-        for col in range(-window, window + 1):
-            row = col + k
-            if not -window <= row <= window:
-                continue
-            step = (int(projected_mode(row, parity))
-                    - int(projected_mode(col, parity)))
-            if step:
-                value = poly(col)
-                if value:
-                    out[row, col] = value if step > 0 else -value
+    for row, col, poly in matrix_terms(a, range(-window, window + 1)):
+        jump = (int(projected_mode(row, parity))
+                - int(projected_mode(col, parity)))
+        if jump:
+            value = poly(col)
+            if value:
+                out[row, col] = value if jump > 0 else -value
     return out
 
 
@@ -124,8 +114,7 @@ def random_commuting_operator(rng: Random, parity: Parity
     table, so the members stay independent of what they are checked
     against."""
     parity = Parity(parity)
-    step = 1 if parity is Parity.FULL else 2
-    pool = list(range(-4, 5, step))
+    pool = list(range(-4, 5, parity.step))
     shifts = rng.sample(pool, rng.randint(1, 3))
     terms = {}
     for k in shifts:

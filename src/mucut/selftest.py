@@ -22,17 +22,16 @@ from .cutspace import Jet, extends_smoothly, pullback_jet, pushforward_symbol
 from .errors import DegenerateCut, EmptyCut, NotInCommutant, OddJet
 from .exact import GaussianRational, Polynomial, Unimodular2
 from .operators import (CanonicalOperator, Parity, commutant_factorize,
-                        commutator, compose, make_generator,
+                        commutator, compose, make_generator, matrix_terms,
                         recompose_factors, required_vanishing,
-                        szego_commutator_entries, szego_commutes,
-                        verify_pk_identity)
+                        retained_modes, szego_commutator_entries,
+                        szego_commutes, verify_pk_identity)
 from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
                      random_unimodular)
-from .spectral import (SCHEMA, _retained_modes, projected_compression,
-                       projected_spectrum, residue_contour, residue_log_fit,
-                       weyl_compare)
+from .spectral import (SCHEMA, projected_compression, projected_spectrum,
+                       residue_contour, residue_log_fit, weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant, build_commuting_from_symbol,
                       exactness_witness, leading_symbol, symbol_tower,
                       variant_for_parity)
@@ -266,16 +265,12 @@ def _row_spectrum_invariants(rng: Random):
         parity = _PARITIES[i % 2]
         x = random_commuting_operator(rng, parity)
         a = x + x.adjoint()
-        modes = _retained_modes(window, parity)
-        kept = set(modes)
         trace = frobenius_sq = 0
-        for k, poly in a.terms.items():
-            for n in modes:
-                if n + k in kept:
-                    value = poly(n)
-                    frobenius_sq += value.re ** 2 + value.im ** 2
-                    if k == 0:
-                        trace += value.re
+        for row, col, poly in matrix_terms(a, retained_modes(window, parity)):
+            value = poly(col)
+            frobenius_sq += value.re ** 2 + value.im ** 2
+            if row == col:
+                trace += value.re
         values = projected_spectrum(a, window, parity).values
         if np.any(np.diff(values) < 0):
             return False, f"sample {i}: eigenvalues are not ascending"

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import FitRangeTooSmall, FloatOverflow, NotElliptic, WrongDegree
 from .exact import GaussianRational, Polynomial
-from .operators import (CanonicalOperator, Parity, check_window,
-                        require_self_adjoint, szego_commutes)
+from .operators import (CanonicalOperator, Parity, matrix_terms,
+                        require_self_adjoint, retained_modes, szego_commutes)
 from .symbols import LaurentSymbol, leading_symbol
 
 SCHEMA = "mucut/1"
@@ -45,13 +45,6 @@ class Spectrum:
         return "\n".join(lines) + "\n"
 
 
-def _retained_modes(window: int, parity: Parity) -> list:
-    check_window(window)
-    if Parity(parity) is Parity.FULL:
-        return list(range(0, window + 1))
-    return list(range(0, 2 * window + 1, 2))
-
-
 def projected_compression(a: CanonicalOperator, window: int,
                           parity: Parity = Parity.FULL) -> np.ndarray:
     """Dense matrix of the operator compressed to the projector's modes.
@@ -59,15 +52,10 @@ def projected_compression(a: CanonicalOperator, window: int,
     Retained modes are ``0..window`` (full) or ``0, 2, ..., 2*window``
     (even); entry ``[i, j]`` maps the j-th retained mode to the i-th.
     """
-    modes = _retained_modes(window, parity)
+    modes = retained_modes(window, parity)
     matrix = np.zeros((len(modes), len(modes)), dtype=complex)
-    index = {n: i for i, n in enumerate(modes)}
-    for k, poly in a.terms.items():
-        for j, n in enumerate(modes):
-            m = n + k
-            i = index.get(m)
-            if i is not None:
-                matrix[i, j] = complex(poly(n))
+    for row, col, poly in matrix_terms(a, modes):
+        matrix[modes.index(row), modes.index(col)] = complex(poly(col))
     return matrix
 
 
@@ -82,7 +70,7 @@ def projected_spectrum(a: CanonicalOperator, window: int,
     if a.bandwidth == 0:
         poly0 = a.terms.get(0, Polynomial.zero())
         values = np.sort([complex(poly0(n)).real
-                          for n in _retained_modes(window, parity)])
+                          for n in retained_modes(window, parity)])
     else:
         values = np.linalg.eigvalsh(projected_compression(a, window, parity))
     if not np.all(np.isfinite(values)):

@@ -37,11 +37,11 @@ class SymbolVariant(enum.Enum):
 
 _PARITY = {SymbolVariant.M_PLUS_PLUS: Parity.FULL,
            SymbolVariant.M_PLUS_EVEN: Parity.EVEN}
+_VARIANT = {parity: variant for variant, parity in _PARITY.items()}
 
 
 def variant_for_parity(parity: Parity) -> SymbolVariant:
-    return (SymbolVariant.M_PLUS_PLUS if Parity(parity) is Parity.FULL
-            else SymbolVariant.M_PLUS_EVEN)
+    return _VARIANT[Parity(parity)]
 
 
 class LaurentSymbol(_TermMap):

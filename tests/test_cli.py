@@ -108,13 +108,18 @@ OUT_OF_RANGE_ARGS = [
                  id="residue-harmonic-high"),
 ]
 
-# Each of these enumerates one mode per window index, so all of them are
-# capped like the dense compression.
+# Each of these enumerates one mode per window index, or per mode a shift
+# carries across zero, so all of them are capped like the dense compression.
+WIDE = ("--window", str(10**6))
 WINDOW_CAPPED_ARGS = [
-    pytest.param(("weyl", DIAG), id="weyl-diagonal"),
-    pytest.param(("spectrum", DIAG), id="spectrum-diagonal"),
-    pytest.param(("commutant-check", RAISE, "--parity", "even"),
+    pytest.param(("weyl", DIAG, *WIDE), id="weyl-diagonal"),
+    pytest.param(("spectrum", DIAG, *WIDE), id="spectrum-diagonal"),
+    pytest.param(("commutant-check", RAISE, "--parity", "even", *WIDE),
                  id="commutant-check-odd-shift"),
+    pytest.param(("commutant-check", shift_payload(10**5)),
+                 id="commutant-check-shift-high"),
+    pytest.param(("commutant-check", shift_payload(-10**5)),
+                 id="commutant-check-shift-low"),
 ]
 
 HUGE = "1" + "0" * 400
@@ -161,7 +166,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", WINDOW_CAPPED_ARGS)
     def test_every_window_capped(self, capsys, argv):
-        code, payload = run_json(capsys, *argv, "--window", str(10**6))
+        code, payload = run_json(capsys, *argv)
         assert code == 2
         assert payload["error"] == "window-too-large"
 
@@ -194,8 +199,9 @@ class TestFloatBoundary:
 
     @pytest.mark.parametrize("text", [
         "1\nnan\n2\n", "1\n1e999\n", "[1, NaN]", "[1, -Infinity]",
-        f"[1, {HUGE}]"], ids=["nan-line", "overflow-line", "json-nan",
-                              "json-infinity", "json-huge-int"])
+        f"[1, {HUGE}]", "[" + ", ".join(["true"] * 10) + "]"],
+        ids=["nan-line", "overflow-line", "json-nan", "json-infinity",
+             "json-huge-int", "json-bool"])
     def test_nonfinite_diagonal_is_malformed(self, capsys, tmp_path, text):
         path = tmp_path / "diag.txt"
         path.write_text(text)

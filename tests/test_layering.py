@@ -1,5 +1,6 @@
 """Package layering: the exact core stays numpy-free and alone reads
-rational parts; the export list holds."""
+rational parts; the oracle stays clear of the criteria it checks; the export
+list holds."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,18 @@ def test_all_resolves_without_duplicates():
     assert len(mucut.__all__) == len(set(mucut.__all__))
     missing = [name for name in mucut.__all__ if not hasattr(mucut, name)]
     assert missing == []
+
+
+def test_oracle_independent_of_criteria():
+    # The brute-force checks certify the closed-form criteria, so the oracle
+    # may share the matrix realization but never the criteria themselves.
+    criteria = {"required_vanishing", "shift_divisor", "szego_commutes",
+                "szego_commutator_entries"}
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & criteria, sorted(named & criteria)
