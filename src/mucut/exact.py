@@ -147,7 +147,9 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __complex__(self):
-        """The one exact-to-float conversion; raises :class:`FloatOverflow`."""
+        """The exact-to-float conversion (:func:`_float_values` is the same
+        rounding over a range of a polynomial's values); raises
+        :class:`FloatOverflow`."""
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
@@ -446,6 +448,39 @@ def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
         raise NonzeroRemainder(
             f"division left remainder {remainder}", remainder=remainder)
     return quotient
+
+
+def _float_values(p: Polynomial, points: range) -> tuple[list, list]:
+    """Real and imaginary parts of ``complex(p(n))`` for every ``n`` in
+    ``points``, a range of integers, evaluated in one pass.
+
+    This is the integer Horner of :meth:`Polynomial.__call__` at ``dx = 1``
+    with the common denominator found once for the whole range. Each part
+    is then one correctly rounded ``int / int`` division, so the floats are
+    bit-identical to converting each exact value. A part beyond the float
+    range raises :class:`FloatOverflow`.
+    """
+    coeffs = p.coefficients
+    den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+    parts = []
+    for name in ("re", "im"):
+        ints = [getattr(c, name).numerator
+                * (den // getattr(c, name).denominator)
+                for c in reversed(coeffs)]
+        if not any(ints):
+            parts.append([0.0] * len(points))
+            continue
+        values = []
+        for n in points:
+            value = 0
+            for c in ints:
+                value = value * n + c
+            values.append(value)
+        try:
+            parts.append([value / den for value in values])
+        except OverflowError:
+            raise FloatOverflow("exact value beyond the float range") from None
+    return parts[0], parts[1]
 
 
 # --- sparse term maps ------------------------------------------------------

@@ -177,17 +177,20 @@ def adjoint(a: CanonicalOperator) -> CanonicalOperator:
         {-k: q.conjugate().shift(-k) for k, q in a._terms.items()})
 
 
-def matrix_terms(a: CanonicalOperator, modes):
-    """The matrix of ``a`` on a set of modes, term by term.
+def matrix_terms(a: CanonicalOperator, modes: range):
+    """The matrix of ``a`` on a range of modes, term by term.
 
-    Yields ``(row, col, q)`` for each term ``(k, q)`` and each ``col`` in
-    ``modes`` with ``row = col + k`` also in ``modes``; the entry there is
+    Yields ``(k, q, cols)`` for each term ``(k, q)`` with entries there:
+    ``cols`` is the range of columns ``col`` in ``modes`` with
+    ``col + k`` also in ``modes``, and the entry at row ``col + k`` is
     ``q(col)``, left to the caller to evaluate.
     """
+    start, stop, step = modes.start, modes.stop, modes.step
     for k, q in a._terms.items():
-        for col in modes:
-            if col + k in modes:
-                yield col + k, col, q
+        if k % step == 0:
+            cols = range(max(start, start - k), min(stop, stop - k), step)
+            if cols:
+                yield k, q, cols
 
 
 def make_generator(name: GeneratorName | str) -> CanonicalOperator:
@@ -238,7 +241,9 @@ def required_vanishing(k: int, parity: Parity):
     divisors, the commutator entries and symbol admissibility all read it,
     so its shift cap bounds every enumeration by shift.
     """
-    check_window(abs(k))
+    if abs(k) >= MAX_WINDOW_MODES:
+        raise WindowTooLarge(
+            f"shift {k} is beyond the cap |k| <= {MAX_WINDOW_MODES - 1}")
     step = Parity(parity).step
     if k % step:
         return None

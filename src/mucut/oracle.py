@@ -18,7 +18,7 @@ from .cones import Cone2
 from .cutspace import Jet
 from .exact import GaussianRational, Polynomial, Unimodular2
 from .operators import CanonicalOperator, Parity, matrix_terms
-from .symbols import LaurentSymbol, SymbolVariant
+from .symbols import _PARITY, LaurentSymbol, SymbolVariant
 
 
 def projected_mode(n: int, parity: Parity) -> bool:
@@ -40,10 +40,11 @@ def exact_entries(a: CanonicalOperator, window: int) -> dict:
     Keys are ``(row, col)`` mode pairs, values exact scalars.
     """
     out = {}
-    for row, col, poly in matrix_terms(a, range(-window, window + 1)):
-        value = poly(col)
-        if value:
-            out[row, col] = value
+    for k, poly, cols in matrix_terms(a, range(-window, window + 1)):
+        for col in cols:
+            value = poly(col)
+            if value:
+                out[col + k, col] = value
     return out
 
 
@@ -58,13 +59,14 @@ def projector_commutator_entries(a: CanonicalOperator, window: int,
     """
     parity = Parity(parity)
     out = {}
-    for row, col, poly in matrix_terms(a, range(-window, window + 1)):
-        jump = (int(projected_mode(row, parity))
-                - int(projected_mode(col, parity)))
-        if jump:
-            value = poly(col)
-            if value:
-                out[row, col] = value if jump > 0 else -value
+    for k, poly, cols in matrix_terms(a, range(-window, window + 1)):
+        for col in cols:
+            jump = (int(projected_mode(col + k, parity))
+                    - int(projected_mode(col, parity)))
+            if jump:
+                value = poly(col)
+                if value:
+                    out[col + k, col] = value if jump > 0 else -value
     return out
 
 
@@ -128,12 +130,9 @@ def random_admissible_symbol(rng: Random, variant: SymbolVariant,
                              max_degree: int = 5) -> LaurentSymbol:
     """Random homogeneous symbol admissible for the given cut cone, with
     one to three modes."""
-    variant = SymbolVariant(variant)
+    step = _PARITY[SymbolVariant(variant)].step
     degree = rng.randint(1, max_degree)
-    if variant is SymbolVariant.M_PLUS_PLUS:
-        pool = list(range(-degree, degree + 1))
-    else:
-        pool = list(range(-2 * degree, 2 * degree + 1, 2))
+    pool = list(range(-step * degree, step * degree + 1, step))
     ks = rng.sample(pool, rng.randint(1, min(3, len(pool))))
     return LaurentSymbol.homogeneous(
         degree, {k: _nonzero_gaussian(rng) for k in ks})

@@ -30,8 +30,9 @@ from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
                      random_unimodular)
-from .spectral import (SCHEMA, projected_compression, projected_spectrum,
-                       residue_contour, residue_log_fit, weyl_compare)
+from .spectral import (SCHEMA, _band, _count_below, projected_compression,
+                       projected_spectrum, residue_contour, residue_log_fit,
+                       weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant, build_commuting_from_symbol,
                       exactness_witness, leading_symbol, symbol_tower,
                       variant_for_parity)
@@ -266,11 +267,12 @@ def _row_spectrum_invariants(rng: Random):
         x = random_commuting_operator(rng, parity)
         a = x + x.adjoint()
         trace = frobenius_sq = 0
-        for row, col, poly in matrix_terms(a, retained_modes(window, parity)):
-            value = poly(col)
-            frobenius_sq += value.re ** 2 + value.im ** 2
-            if row == col:
-                trace += value.re
+        for k, poly, cols in matrix_terms(a, retained_modes(window, parity)):
+            for col in cols:
+                value = poly(col)
+                frobenius_sq += value.re ** 2 + value.im ** 2
+                if k == 0:
+                    trace += value.re
         values = projected_spectrum(a, window, parity).values
         if np.any(np.diff(values) < 0):
             return False, f"sample {i}: eigenvalues are not ascending"
@@ -282,7 +284,17 @@ def _row_spectrum_invariants(rng: Random):
         if square_err > 1e-9 * norm * norm:
             return False, (f"sample {i}: eigenvalue square sum off by "
                            f"{square_err:.3e}")
-    return True, "6 spectra at window 40 keep trace and norm"
+        # inertia counts on the band agree with LAPACK up to eigenvalues
+        # within 1e-9 of the spectral radius from a threshold
+        grid = np.linspace(values[0], values[-1], 64)
+        counts = _count_below(*_band(a, window, parity), grid)
+        eps = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+        lo = np.searchsorted(values, grid - eps, side="left")
+        hi = np.searchsorted(values, grid + eps, side="left")
+        if np.any((counts < lo) | (counts > hi)):
+            return False, f"sample {i}: inertia counts differ from LAPACK"
+    return True, ("6 spectra at window 40 keep trace and norm; inertia "
+                  "counts match them")
 
 
 def _row_parametrix(rng: Random):
@@ -457,7 +469,8 @@ def selftest_rows(include_uniform_range_diagnostic: bool = False):
                     "products and brackets descend to symbol calculus",
                     _row_symbol_homomorphism),
         SelftestRow("hermitian-eigensolver",
-                    "LAPACK spectra match exact trace invariants",
+                    "LAPACK spectra match exact trace invariants and "
+                    "inertia counts",
                     _row_spectrum_invariants),
         SelftestRow("parametrix-inverse",
                     "truncated inverse matches the symbolic parametrix",

@@ -1,11 +1,16 @@
 """Spectral experiments: projected spectra, Weyl counting, residue fits.
 
 Everything in this module deliberately leaves exact arithmetic for floats;
-exactness claims live in the normal-form layer. Spectra come from LAPACK
-(``numpy.linalg.eigvalsh``) on the dense projected compression;
-bandwidth-0 compressions are diagonal, so their spectrum is the sorted
-diagonal. Windows are capped before any mode is evaluated, and a value
-beyond the float range raises :class:`FloatOverflow`.
+exactness claims live in the normal-form layer. A compression is evaluated
+once, as its band of diagonals. Weyl counts come from inertia on that band
+(Sylvester's law: the eigenvalues below ``t`` are the negative pivots of
+LDL* of ``A - t*I``), not from a spectrum. The dense matrix is built for
+:func:`projected_compression` and the spectra of :func:`projected_spectrum`,
+which come from LAPACK (``numpy.linalg.eigvalsh``); a diagonal
+compression's spectrum is its sorted diagonal. Counting builds it only for
+a band so wide that LDL* would cost more than one dense solve. Windows are
+capped before any mode is evaluated, and a value beyond the float range
+raises :class:`FloatOverflow`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitRangeTooSmall, FloatOverflow, NotElliptic, WrongDegree
-from .exact import GaussianRational, Polynomial
+from .exact import GaussianRational, _float_values
 from .operators import (CanonicalOperator, Parity, matrix_terms,
                         require_self_adjoint, retained_modes, szego_commutes)
 from .symbols import LaurentSymbol, leading_symbol
@@ -45,6 +50,24 @@ class Spectrum:
         return "\n".join(lines) + "\n"
 
 
+def _band(a: CanonicalOperator, window: int, parity: Parity):
+    """The compression's nonzero diagonals, each evaluated in one pass.
+
+    Returns ``(n, band)``: ``n`` retained modes, and ``band[d]`` the
+    diagonal ``numpy.diagonal(matrix, -d)`` of the ``n x n`` compression
+    for every offset ``d = k / Parity.step`` of a term with entries there.
+    """
+    modes = retained_modes(window, parity)
+    band = {}
+    for k, q, cols in matrix_terms(a, modes):
+        re, im = _float_values(q, cols)
+        values = np.empty(len(cols), dtype=complex)
+        values.real = re
+        values.imag = im
+        band[k // modes.step] = values
+    return len(modes), band
+
+
 def projected_compression(a: CanonicalOperator, window: int,
                           parity: Parity = Parity.FULL) -> np.ndarray:
     """Dense matrix of the operator compressed to the projector's modes.
@@ -52,10 +75,14 @@ def projected_compression(a: CanonicalOperator, window: int,
     Retained modes are ``0..window`` (full) or ``0, 2, ..., 2*window``
     (even); entry ``[i, j]`` maps the j-th retained mode to the i-th.
     """
-    modes = retained_modes(window, parity)
-    matrix = np.zeros((len(modes), len(modes)), dtype=complex)
-    for row, col, poly in matrix_terms(a, modes):
-        matrix[modes.index(row), modes.index(col)] = complex(poly(col))
+    return _dense(*_band(a, window, parity))
+
+
+def _dense(n: int, band: dict) -> np.ndarray:
+    matrix = np.zeros((n, n), dtype=complex)
+    for d, values in band.items():
+        index = np.arange(len(values))
+        matrix[index + max(d, 0), index + max(-d, 0)] = values
     return matrix
 
 
@@ -63,19 +90,122 @@ def projected_spectrum(a: CanonicalOperator, window: int,
                        parity: Parity = Parity.FULL) -> Spectrum:
     """Spectrum of the compression of ``a`` to the projector's modes.
 
-    The operator must be exactly self-adjoint in normal form. Bandwidth-0
-    compressions are diagonal and never build the dense matrix.
+    The operator must be exactly self-adjoint in normal form. A diagonal
+    compression's spectrum is its sorted diagonal, without a dense matrix.
     """
     require_self_adjoint(a)
-    if a.bandwidth == 0:
-        poly0 = a.terms.get(0, Polynomial.zero())
-        values = np.sort([complex(poly0(n)).real
-                          for n in retained_modes(window, parity)])
+    return Spectrum(_eigenvalues(*_band(a, window, parity)))
+
+
+def _eigenvalues(n: int, band: dict) -> np.ndarray:
+    if set(band) <= {0}:
+        values = np.sort(band.get(0, np.zeros(n)).real)
     else:
-        values = np.linalg.eigvalsh(projected_compression(a, window, parity))
+        values = np.linalg.eigvalsh(_dense(n, band))
     if not np.all(np.isfinite(values)):
         raise FloatOverflow("a spectrum value exceeds the float range")
-    return Spectrum(values)
+    return values
+
+
+# pivots of magnitude below this times max(1, |t|), on the scaled band,
+# move to minus that in bands wider than 1 (see _ldl_counts)
+_LDL_PIVMIN = 2.0 ** -32
+# scaled thresholds are clipped here: far outside the scaled band's
+# spectrum, yet every pivot and their sum stay finite
+_THRESHOLD_CLIP = 2.0 ** 600
+
+
+def _count_below(n: int, band: dict, thresholds) -> np.ndarray:
+    """How many eigenvalues of a Hermitian band lie below each threshold.
+
+    By Sylvester's law of inertia this is the number of negative pivots of
+    LDL* of ``A - t*I``, with the thresholds side by side in numpy. A
+    diagonal band compares exactly (``diag < t``). Otherwise the band and
+    the thresholds are first scaled by the power of two that brings the
+    largest entry into ``[1/2, 1)``, which changes no count short of
+    underflow in entries far below the largest. Bandwidth 1
+    takes the Sturm recurrence (:func:`_sturm_counts`), wider bands the
+    banded LDL* (:func:`_ldl_counts`).
+    """
+    t = np.asarray(thresholds, dtype=float)
+    diag = band.get(0, np.zeros(n)).real
+    width = max(band, default=0)
+    if width == 0:
+        return np.searchsorted(np.sort(diag), t, side="left")
+    _, exponent = math.frexp(max(float(np.max(np.abs(v.view(float))))
+                                 for v in band.values()))
+    with np.errstate(over="ignore"):
+        t = np.clip(np.ldexp(t, -exponent), -_THRESHOLD_CLIP,
+                    _THRESHOLD_CLIP)
+    lower = [np.ldexp(band[d].view(float), -exponent).view(complex)
+             if d in band else np.zeros(n - d, dtype=complex)
+             for d in range(1, width + 1)]
+    if width == 1:
+        return _sturm_counts(np.ldexp(diag, -exponent), lower[0], t)
+    return _ldl_counts(np.ldexp(diag, -exponent), lower, t)
+
+
+def _sturm_counts(diag, off, t) -> np.ndarray:
+    """Negative pivots of a Hermitian tridiagonal ``A - t*I``.
+
+    The recurrence of Barth, Martin & Wilkinson (1967) on ``|off|**2``,
+    ``q[i] = diag[i] - t - |off[i-1]|**2 / q[i-1]``, with the safeguard of
+    LAPACK ``dstebz`` (Kahan 1966): a pivot of magnitude below
+    ``pivmin = tiny * max(1, max |off|**2)`` moves to ``-pivmin``. The
+    count is then exact for a tridiagonal whose entries lie within a few
+    ulps of those of ``A``, diagonal entries also within ``2 * pivmin``.
+    """
+    off2 = (np.abs(off) ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(off2, default=0.0))
+    counts = np.zeros(len(t), dtype=int)
+    q = np.full(len(t), np.inf)
+    for a, e2 in zip(diag.tolist(), [0.0] + off2):
+        q = (a - t) - e2 / q
+        q[np.abs(q) < pivmin] = -pivmin
+        counts += q < 0
+    return counts
+
+
+def _ldl_counts(diag, lower: list, t) -> np.ndarray:
+    """Negative pivots of LDL* of a Hermitian band ``A - t*I`` of width
+    ``b = len(lower) >= 2``, without pivoting.
+
+    ``lower[d - 1]`` is the d-th subdiagonal. The Schur complement lives in
+    a ``(b+1) x (b+1)`` block per threshold that slides down the band;
+    rows past the end enter as decoupled pivots ``+1``. ``total`` sums the
+    pivots only to see that none left the float range. A pivot of
+    magnitude below ``pivmin = 2**-32 * max(1, |t|)`` moves to
+    ``-pivmin``: one diagonal entry moves by at most ``2 * pivmin``, about
+    ``5e-10`` of the scaled norm. The Sturm floor would be too small here:
+    in a wider band the rank-one update of a tiny pivot is later cancelled
+    against itself, and this floor bounds that growth at ``2**32``. A pivot
+    beyond the float range raises :class:`FloatOverflow`.
+    """
+    n, b = len(diag), len(lower)
+    dtype = complex if any(np.any(v.imag) for v in lower) else float
+    rows = np.zeros((n + b + 1, b), dtype=dtype)
+    for d, values in enumerate(lower, start=1):
+        rows[d:n, b - d] = values if dtype is complex else values.real
+    pivmin = _LDL_PIVMIN * np.maximum(1.0, np.abs(t))
+    schur = np.zeros((len(t), b + 1, b + 1), dtype=dtype)
+    schur[:, range(b + 1), range(b + 1)] = 1.0
+    counts = np.zeros(len(t), dtype=int)
+    total = np.zeros(len(t))
+    for row, entry in zip(rows, diag.tolist() + [None] * (b + 1)):
+        d = schur[:, 0, 0].real.copy()
+        small = np.abs(d) < pivmin
+        d[small] = -pivmin[small]
+        counts += d < 0
+        total += d
+        v = schur[:, 1:, 0]
+        schur[:, 1:, 1:] -= v[:, :, None] * (v.conj() / d[:, None])[:, None, :]
+        schur[:, :b, :b] = schur[:, 1:, 1:]
+        schur[:, b, :b] = row
+        schur[:, :b, b] = row.conj()
+        schur[:, b, b] = 1.0 if entry is None else entry - t
+    if not np.all(np.isfinite(total)):
+        raise FloatOverflow("a pivot exceeds the float range")
+    return counts
 
 
 def _elliptic_leading_data(a: CanonicalOperator):
@@ -176,7 +306,8 @@ def weyl_compare(a: CanonicalOperator, window: int,
                  grid_points: int = 64) -> ExperimentReport:
     """Eigenvalue counting against the sublevel measure of the top symbol.
 
-    Observed: how many compressed eigenvalues lie below each grid value.
+    Observed: how many compressed eigenvalues lie below each grid value,
+    counted by inertia on the compression's band.
     Predicted: the Lebesgue measure of ``{s >= 0 : c * s**m < lam}``, which
     for a monomial symbol is ``(lam / c)**(1/m)``. The grid runs in
     ``grid_points`` steps up to ``grid_max``, by default the reliability
@@ -187,7 +318,8 @@ def weyl_compare(a: CanonicalOperator, window: int,
         raise NotElliptic(
             f"operator does not commute with the {parity.value} projector")
     c, m = _elliptic_leading_data(a)
-    spectrum = projected_spectrum(a, window, parity)
+    require_self_adjoint(a)
+    n, band = _band(a, window, parity)
     if grid_max is None:
         try:
             grid_max = c * (window / 2.0) ** m
@@ -197,7 +329,14 @@ def weyl_compare(a: CanonicalOperator, window: int,
         raise FloatOverflow("the grid top exceeds the float range")
     grid = [float(lam) for lam in
             np.linspace(grid_max / grid_points, grid_max, grid_points)]
-    observed = [spectrum.count_below(lam) for lam in grid]
+    width = max(band, default=0)
+    if width > 1 and 16 * len(grid) * (width + 1) ** 2 > n * n:
+        # banded LDL* takes about n * len(grid) * (width + 1)**2 numpy
+        # element operations; past n**3 / 16 one dense solve is faster
+        observed = np.searchsorted(_eigenvalues(n, band), grid,
+                                   side="left").tolist()
+    else:
+        observed = _count_below(n, band, grid).tolist()
     predicted = [0.0 if lam <= 0 else (lam / c) ** (1.0 / m) for lam in grid]
     params = {
         "experiment": "weyl",

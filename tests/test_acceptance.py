@@ -162,12 +162,13 @@ def test_criterion_06_symbol_homomorphism():
 def test_criterion_07_weyl_counting():
     def body():
         window = 4096
-        for a in (D, 2 * D, compose(Raise, Lower)):
+        for a in (D, 2 * D, compose(Raise, Lower), D * D + Raise + Lower):
             report = weyl_compare(a, window)
             assert report.max_residual <= 1.0
 
     run_criterion(7, "eigenvalue counts within 1 of sublevel measure at "
-                     "window 4096", 60.0, body)
+                     "window 4096, banded D*D + Raise + Lower included",
+                  60.0, body)
 
 
 def test_criterion_08_residue_calibration():

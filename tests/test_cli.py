@@ -170,6 +170,12 @@ class TestExitCodes:
         assert code == 2
         assert payload["error"] == "window-too-large"
 
+    def test_shift_cap_names_the_shift(self, capsys):
+        code, payload = run_json(capsys, "factorize", shift_payload(5000))
+        assert code == 2
+        assert payload["error"] == "window-too-large"
+        assert payload["message"] == "shift 5000 is beyond the cap |k| <= 4096"
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "identity-pk", "--bogus")
         assert code == 1

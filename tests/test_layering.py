@@ -3,6 +3,7 @@ rational parts; the oracle stays clear of the criteria it checks; the export
 list holds."""
 
 import ast
+import json
 from pathlib import Path
 
 import mucut
@@ -58,3 +59,25 @@ def test_oracle_independent_of_criteria():
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not named & criteria, sorted(named & criteria)
+
+
+def test_weyl_counts_without_a_dense_solve(monkeypatch, capsys):
+    # counting is by inertia on the band: no eigensolver for bands 0 and 1,
+    # nor for wider bands where LDL* is cheaper than one dense solve, both
+    # in-process and through the command line
+    import numpy as np
+
+    from mucut.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl counting called numpy.linalg.eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    g = mucut.make_generator
+    d, r, l = g("D"), g("Raise"), g("Lower")
+    assert mucut.weyl_compare(d * d + r + l, 4096).max_residual <= 1.0
+    mucut.weyl_compare(d * d * d + r * r + l * l, 512)
+    banded = json.dumps((d * d + r + l).to_json())
+    for argv in (["weyl", json.dumps(d.to_json())], ["weyl", banded]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] <= 1.0

@@ -1,16 +1,24 @@
 """Float layer: projected spectra, Weyl counts, residue fits."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mucut import (CanonicalOperator, ExperimentReport, FitRangeTooSmall,
                    FloatOverflow, GaussianRational, LaurentSymbol, NotElliptic,
                    NotSelfAdjoint, Polynomial, Spectrum, WindowTooLarge,
                    make_generator, projected_compression, projected_spectrum,
-                   residue_contour, residue_log_fit, weyl_compare, Parity)
+                   residue_contour, residue_log_fit, shift_divisor,
+                   weyl_compare, Parity)
+from mucut.operators import matrix_terms, retained_modes
+from mucut.oracle import random_commuting_operator
+from mucut.spectral import _band, _count_below
 
 D = make_generator("D")
 Raise = make_generator("Raise")
@@ -112,6 +120,142 @@ class TestWeylCounting:
     def test_rejects_noncommuting(self):
         with pytest.raises(NotElliptic):
             weyl_compare(CanonicalOperator({1: Polynomial([1])}), 32)
+
+
+def entrywise_compression(a, window, parity):
+    """The compression filled one exact entry at a time: the reference the
+    band evaluation must reproduce bit for bit."""
+    modes = retained_modes(window, parity)
+    step = modes.step
+    matrix = np.zeros((len(modes), len(modes)), dtype=complex)
+    for k, q, cols in matrix_terms(a, modes):
+        for col in cols:
+            matrix[(col + k) // step, col // step] = complex(q(col))
+    return matrix
+
+
+def tolerated_counts(values, thresholds):
+    """The counts an eigenvalue within 1e-9 of the spectral radius of a
+    threshold may fall either side of: ``(lo, hi)`` per threshold."""
+    eps = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    t = np.asarray(thresholds)
+    return (np.searchsorted(values, t - eps, side="left"),
+            np.searchsorted(values, t + eps, side="left"))
+
+
+@st.composite
+def self_adjoint_members(draw):
+    """``X + X*`` for a commutant member X of index bandwidth 0-2 (the sum
+    may cancel down to less), with small Gaussian-integer cofactors over
+    the canonical divisors."""
+    parity = draw(st.sampled_from(list(Parity)))
+    width = draw(st.integers(0, 2))
+    terms = {}
+    for d in range(-width, width + 1):
+        k = d * parity.step
+        cofactor = Polynomial(draw(st.lists(
+            st.builds(GaussianRational, st.integers(-3, 3),
+                      st.integers(-3, 3)), min_size=1, max_size=3)))
+        if abs(d) == width and cofactor.is_zero():
+            cofactor = Polynomial([1])
+        terms[k] = cofactor * shift_divisor(k, parity)
+    x = CanonicalOperator(terms)
+    return x + x.adjoint(), parity
+
+
+def exact_negative_pivots(a, window, parity, threshold: Fraction) -> int:
+    """Negative pivots of LDL* of ``A - threshold*I`` over the Gaussian
+    rationals, where ``A`` is the exact compression."""
+    modes = retained_modes(window, parity)
+    n, step = len(modes), modes.step
+    m = [[GaussianRational(0)] * n for _ in range(n)]
+    for k, q, cols in matrix_terms(a, modes):
+        for col in cols:
+            m[(col + k) // step][col // step] = q(col)
+    for i in range(n):
+        m[i][i] = m[i][i] - GaussianRational(threshold)
+    width = max((abs(k) // step for k in a.terms), default=0)
+    negative = 0
+    for j in range(n):
+        pivot = m[j][j]
+        assert pivot.is_real() and pivot, "threshold meets a zero pivot"
+        negative += pivot.re < 0
+        block = range(j + 1, min(n, j + width + 1))
+        for r in block:
+            factor = m[r][j] / pivot
+            for c in block:
+                m[r][c] = m[r][c] - factor * m[j][c]
+    return negative
+
+
+class TestInertiaCounts:
+    def test_compression_is_entrywise_exact(self):
+        rng = Random(7)
+        for parity in Parity:
+            for _ in range(6):
+                x = random_commuting_operator(rng, parity)
+                for a in (x, x + x.adjoint(), x * GaussianRational(1, 3)):
+                    assert np.array_equal(
+                        projected_compression(a, 40, parity),
+                        entrywise_compression(a, 40, parity))
+
+    @given(self_adjoint_members(), st.integers(0, 40),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           st.lists(st.integers(0, 40), max_size=3))
+    def test_matches_lapack_counts(self, member, window, fractions, picks):
+        # thresholds anywhere across the spectrum, plus diagonal entries
+        # themselves, where the first pivots of A - t*I vanish exactly
+        a, parity = member
+        n, band = _band(a, window, parity)
+        values = np.linalg.eigvalsh(projected_compression(a, window, parity))
+        lo_t, hi_t = values[0] - 1.0, values[-1] + 1.0
+        diag = band.get(0, np.zeros(n)).real
+        thresholds = ([lo_t + u * (hi_t - lo_t) for u in fractions]
+                      + [float(diag[i % n]) for i in picks])
+        counts = _count_below(n, band, thresholds)
+        lo, hi = tolerated_counts(values, thresholds)
+        assert np.all((lo <= counts) & (counts <= hi)), (counts, lo, hi)
+
+    def test_exact_oracle(self):
+        # rational thresholds between consecutive eigenvalues and outside
+        # the spectrum are not eigenvalues; the float count must be exact
+        rng = Random(11)
+        for window in (8, 20, 32):
+            for parity in Parity:
+                x = random_commuting_operator(rng, parity)
+                a = x + x.adjoint()
+                values = np.linalg.eigvalsh(
+                    projected_compression(a, window, parity))
+                scale = max(1.0, float(np.max(np.abs(values))))
+                gaps = np.flatnonzero(np.diff(values) > 1e-6 * scale)
+                thresholds = ([values[0] - 1.0, values[-1] + 1.0]
+                              + [(values[i] + values[i + 1]) / 2
+                                 for i in gaps])
+                counts = _count_below(*_band(a, window, parity), thresholds)
+                exact = [exact_negative_pivots(a, window, parity, Fraction(t))
+                         for t in thresholds]
+                assert counts.tolist() == exact
+
+    def test_wide_band_falls_back_to_the_same_counts(self):
+        # at window 16 banded LDL* over 64 grid values would cost more
+        # than one dense solve, so weyl_compare counts from the spectrum
+        a = D * D * D + Raise * Raise + Lower * Lower
+        report = weyl_compare(a, 16)
+        counts = _count_below(*_band(a, 16, Parity.FULL),
+                              report.params["grid"])
+        assert list(report.observed) == counts.tolist()
+
+    def test_weyl_compare_never_builds_the_dense_matrix(self):
+        # the dense 4097 x 4097 complex compression alone is 268 MB
+        a = D * D + Raise + Lower
+        tracemalloc.start()
+        try:
+            report = weyl_compare(a, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_residual <= 1.0
+        assert peak < 32 * 2 ** 20
 
 
 def inverse_mode_symbol(coeffs):
