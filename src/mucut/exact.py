@@ -266,20 +266,17 @@ class Polynomial:
         ``den * dx**degree * p(x)`` and the one division comes at the end.
         """
         x = _as_gaussian(x)
-        coeffs = self.coefficients
-        if not coeffs:
+        if not self.coefficients:
             return _ZERO
-        den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+        den, scaled = _integer_coefficients(self.coefficients)
         dx = lcm(x.re.denominator, x.im.denominator)
         xr = x.re.numerator * (dx // x.re.denominator)
         xi = x.im.numerator * (dx // x.im.denominator)
         re = im = 0
         power = 1
-        for c in reversed(coeffs):
-            re, im = (re * xr - im * xi
-                      + c.re.numerator * (den // c.re.denominator) * power,
-                      re * xi + im * xr
-                      + c.im.numerator * (den // c.im.denominator) * power)
+        for cr, ci in scaled:
+            re, im = (re * xr - im * xi + cr * power,
+                      re * xi + im * xr + ci * power)
             power *= dx
         scale = den * power // dx
         return GaussianRational(Fraction(re, scale), Fraction(im, scale))
@@ -450,23 +447,29 @@ def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
     return quotient
 
 
+def _integer_coefficients(coeffs) -> tuple[int, list]:
+    """``(den, scaled)``: the coefficients over one common denominator
+    ``den``, with ``scaled`` the integer numerators ``(re, im)`` of each,
+    highest degree first as Horner's rule takes them."""
+    den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+    return den, [(c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator))
+                 for c in reversed(coeffs)]
+
+
 def _float_values(p: Polynomial, points: range) -> tuple[list, list]:
     """Real and imaginary parts of ``complex(p(n))`` for every ``n`` in
     ``points``, a range of integers, evaluated in one pass.
 
     This is the integer Horner of :meth:`Polynomial.__call__` at ``dx = 1``
-    with the common denominator found once for the whole range. Each part
-    is then one correctly rounded ``int / int`` division, so the floats are
-    bit-identical to converting each exact value. A part beyond the float
-    range raises :class:`FloatOverflow`.
+    on the same :func:`_integer_coefficients`, found once for the whole
+    range. Each part is then one correctly rounded ``int / int`` division,
+    so the floats are bit-identical to converting each exact value. A part
+    beyond the float range raises :class:`FloatOverflow`.
     """
-    coeffs = p.coefficients
-    den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+    den, scaled = _integer_coefficients(p.coefficients)
     parts = []
-    for name in ("re", "im"):
-        ints = [getattr(c, name).numerator
-                * (den // getattr(c, name).denominator)
-                for c in reversed(coeffs)]
+    for ints in ([cr for cr, _ in scaled], [ci for _, ci in scaled]):
         if not any(ints):
             parts.append([0.0] * len(points))
             continue

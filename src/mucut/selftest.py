@@ -30,7 +30,7 @@ from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
                      random_unimodular)
-from .spectral import (SCHEMA, _band, _count_below, projected_compression,
+from .spectral import (SCHEMA, count_below, projected_compression,
                        projected_spectrum, residue_contour, residue_log_fit,
                        weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant, build_commuting_from_symbol,
@@ -287,7 +287,7 @@ def _row_spectrum_invariants(rng: Random):
         # inertia counts on the band agree with LAPACK up to eigenvalues
         # within 1e-9 of the spectral radius from a threshold
         grid = np.linspace(values[0], values[-1], 64)
-        counts = _count_below(*_band(a, window, parity), grid)
+        counts = count_below(a, window, parity, grid)
         eps = 1e-9 * max(1.0, float(np.max(np.abs(values))))
         lo = np.searchsorted(values, grid - eps, side="left")
         hi = np.searchsorted(values, grid + eps, side="left")

@@ -7,15 +7,16 @@ once, as its band of diagonals. Weyl counts come from inertia on that band
 LDL* of ``A - t*I``), not from a spectrum. The dense matrix is built for
 :func:`projected_compression` and the spectra of :func:`projected_spectrum`,
 which come from LAPACK (``numpy.linalg.eigvalsh``); a diagonal
-compression's spectrum is its sorted diagonal. Counting builds it only for
-a band so wide that LDL* would cost more than one dense solve. Windows are
-capped before any mode is evaluated, and a value beyond the float range
-raises :class:`FloatOverflow`.
+compression's spectrum is its sorted diagonal. Counting reads the spectrum
+only for a threshold whose banded LDL* count it cannot certify. Windows
+are capped before any mode is evaluated, and a value beyond the float
+range, an eigenvalue included, raises :class:`FloatOverflow`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +108,23 @@ def _eigenvalues(n: int, band: dict) -> np.ndarray:
     return values
 
 
-# pivots of magnitude below this times max(1, |t|), on the scaled band,
-# move to minus that in bands wider than 1 (see _ldl_counts)
-_LDL_PIVMIN = 2.0 ** -32
-# scaled thresholds are clipped here: far outside the scaled band's
-# spectrum, yet every pivot and their sum stay finite
-_THRESHOLD_CLIP = 2.0 ** 600
+def count_below(a: CanonicalOperator, window: int, parity: Parity,
+                thresholds) -> np.ndarray:
+    """How many eigenvalues of the compression lie below each threshold,
+    counted by inertia on its band (see :func:`_count_below`).
+
+    The operator must be exactly self-adjoint in normal form. As for
+    :func:`projected_spectrum`, an eigenvalue beyond the float range
+    raises :class:`FloatOverflow`; the counts at the ends of that range
+    say whether there is one.
+    """
+    require_self_adjoint(a)
+    n, band = _band(a, window, parity)
+    top = sys.float_info.max
+    counts = _count_below(n, band, [-top, *thresholds, top])
+    if counts[0] or counts[-1] != n:
+        raise FloatOverflow("a spectrum value exceeds the float range")
+    return counts[1:-1]
 
 
 def _count_below(n: int, band: dict, thresholds) -> np.ndarray:
@@ -123,9 +135,12 @@ def _count_below(n: int, band: dict, thresholds) -> np.ndarray:
     diagonal band compares exactly (``diag < t``). Otherwise the band and
     the thresholds are first scaled by the power of two that brings the
     largest entry into ``[1/2, 1)``, which changes no count short of
-    underflow in entries far below the largest. Bandwidth 1
-    takes the Sturm recurrence (:func:`_sturm_counts`), wider bands the
-    banded LDL* (:func:`_ldl_counts`).
+    underflow in entries far below the largest. Every eigenvalue of the
+    scaled band lies in ``[-r, r]`` with ``r = 2 * width + 1``, so a
+    threshold ``t <= -r`` counts 0 and ``t > r`` counts ``n`` at once.
+    Bandwidth 1 takes the Sturm recurrence (:func:`_sturm_counts`), wider
+    bands the banded LDL* (:func:`_ldl_counts`); a count that LDL* cannot
+    certify is read from the spectrum instead.
     """
     t = np.asarray(thresholds, dtype=float)
     diag = band.get(0, np.zeros(n)).real
@@ -135,14 +150,25 @@ def _count_below(n: int, band: dict, thresholds) -> np.ndarray:
     _, exponent = math.frexp(max(float(np.max(np.abs(v.view(float))))
                                  for v in band.values()))
     with np.errstate(over="ignore"):
-        t = np.clip(np.ldexp(t, -exponent), -_THRESHOLD_CLIP,
-                    _THRESHOLD_CLIP)
+        scaled_t = np.ldexp(t, -exponent)
     lower = [np.ldexp(band[d].view(float), -exponent).view(complex)
              if d in band else np.zeros(n - d, dtype=complex)
              for d in range(1, width + 1)]
+    diag = np.ldexp(diag, -exponent)
+    # no row of the scaled band sums past this (Gershgorin)
+    radius = 2 * width + 1
+    counts = np.where(scaled_t > radius, n, 0)
+    inside = np.flatnonzero((-radius < scaled_t) & (scaled_t <= radius))
     if width == 1:
-        return _sturm_counts(np.ldexp(diag, -exponent), lower[0], t)
-    return _ldl_counts(np.ldexp(diag, -exponent), lower, t)
+        counts[inside] = _sturm_counts(diag, lower[0], scaled_t[inside])
+    elif len(inside):
+        counts[inside], certified = _ldl_counts(diag, lower,
+                                                scaled_t[inside])
+        recount = inside[~certified]
+        if len(recount):
+            counts[recount] = np.searchsorted(_eigenvalues(n, band),
+                                              t[recount], side="left")
+    return counts
 
 
 def _sturm_counts(diag, off, t) -> np.ndarray:
@@ -166,46 +192,68 @@ def _sturm_counts(diag, off, t) -> np.ndarray:
     return counts
 
 
-def _ldl_counts(diag, lower: list, t) -> np.ndarray:
+# pivots of magnitude below this move to minus it in banded LDL*; the
+# moved pivot perturbs one diagonal entry by at most twice as much
+_LDL_PIVMIN = 2.0 ** -40
+# a banded LDL* count is certified when its backward error bound, on the
+# scaled band, is at most this: below 1e-9 of the spectral radius
+_LDL_CERTIFIED = 2.0 ** -32
+
+
+# moved pivots and the growth they bring may overflow; such a count is
+# left uncertified
+@np.errstate(over="ignore", invalid="ignore")
+def _ldl_counts(diag, lower: list, t):
     """Negative pivots of LDL* of a Hermitian band ``A - t*I`` of width
-    ``b = len(lower) >= 2``, without pivoting.
+    ``b = len(lower) >= 2``, without pivoting, and which of the counts are
+    certified.
 
     ``lower[d - 1]`` is the d-th subdiagonal. The Schur complement lives in
     a ``(b+1) x (b+1)`` block per threshold that slides down the band;
-    rows past the end enter as decoupled pivots ``+1``. ``total`` sums the
-    pivots only to see that none left the float range. A pivot of
-    magnitude below ``pivmin = 2**-32 * max(1, |t|)`` moves to
-    ``-pivmin``: one diagonal entry moves by at most ``2 * pivmin``, about
-    ``5e-10`` of the scaled norm. The Sturm floor would be too small here:
-    in a wider band the rank-one update of a tiny pivot is later cancelled
-    against itself, and this floor bounds that growth at ``2**32``. A pivot
-    beyond the float range raises :class:`FloatOverflow`.
+    rows past the end enter as decoupled pivots ``+1``. A pivot of
+    magnitude below ``_LDL_PIVMIN`` moves to minus that.
+
+    Without pivoting the factorization can grow, so each count carries a
+    bound. The computed pivots are the exact LDL* of ``A + E - t*I``, ``E``
+    Hermitian, with ``|E| <= 8(b+1)u (|A - t*I| + |L||D||L*|)`` entrywise
+    for unit roundoff ``u`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, Thm. 9.3, on the band's ``b + 1`` updates per
+    entry), plus ``2 * _LDL_PIVMIN`` on the diagonal for moved pivots.
+    ``G = max_i sum_j |L[i, j]|**2 |D[j]|`` bounds every entry of
+    ``|L||D||L*|``, so by Weyl's inequality the count is exact for every
+    eigenvalue of ``A`` farther from ``t`` than
+    ``(2b+1) * 8(b+1)u * (1 + |t| + G) + 2 * _LDL_PIVMIN`` on a band
+    whose entries are below 1 in magnitude.
+    A count is certified when that is at most ``_LDL_CERTIFIED``.
     """
     n, b = len(diag), len(lower)
     dtype = complex if any(np.any(v.imag) for v in lower) else float
     rows = np.zeros((n + b + 1, b), dtype=dtype)
     for d, values in enumerate(lower, start=1):
         rows[d:n, b - d] = values if dtype is complex else values.real
-    pivmin = _LDL_PIVMIN * np.maximum(1.0, np.abs(t))
     schur = np.zeros((len(t), b + 1, b + 1), dtype=dtype)
     schur[:, range(b + 1), range(b + 1)] = 1.0
+    # sum_j |L[i, j]|**2 |D[j]| so far for each row of the block
+    weight = np.zeros((len(t), b + 1))
+    growth = np.zeros(len(t))
     counts = np.zeros(len(t), dtype=int)
-    total = np.zeros(len(t))
     for row, entry in zip(rows, diag.tolist() + [None] * (b + 1)):
         d = schur[:, 0, 0].real.copy()
-        small = np.abs(d) < pivmin
-        d[small] = -pivmin[small]
+        small = np.abs(d) < _LDL_PIVMIN
+        d[small] = -_LDL_PIVMIN
         counts += d < 0
-        total += d
         v = schur[:, 1:, 0]
+        growth = np.maximum(growth, np.abs(d) + weight[:, 0])
+        weight[:, :b] = weight[:, 1:] + np.abs(v) ** 2 / np.abs(d)[:, None]
+        weight[:, b] = 0.0
         schur[:, 1:, 1:] -= v[:, :, None] * (v.conj() / d[:, None])[:, None, :]
         schur[:, :b, :b] = schur[:, 1:, 1:]
         schur[:, b, :b] = row
         schur[:, :b, b] = row.conj()
         schur[:, b, b] = 1.0 if entry is None else entry - t
-    if not np.all(np.isfinite(total)):
-        raise FloatOverflow("a pivot exceeds the float range")
-    return counts
+    bound = ((2 * b + 1) * 8 * (b + 1) * np.finfo(float).eps / 2
+             * (1.0 + np.abs(t) + growth) + 2 * _LDL_PIVMIN)
+    return counts, bound <= _LDL_CERTIFIED
 
 
 def _elliptic_leading_data(a: CanonicalOperator):
@@ -318,25 +366,19 @@ def weyl_compare(a: CanonicalOperator, window: int,
         raise NotElliptic(
             f"operator does not commute with the {parity.value} projector")
     c, m = _elliptic_leading_data(a)
-    require_self_adjoint(a)
-    n, band = _band(a, window, parity)
     if grid_max is None:
         try:
             grid_max = c * (window / 2.0) ** m
         except OverflowError:
             grid_max = math.inf
+    grid = ([float(lam) for lam in
+             np.linspace(grid_max / grid_points, grid_max, grid_points)]
+            if math.isfinite(grid_max) else [])
+    # counted before the grid is checked, so that the operator's own
+    # errors come first
+    observed = count_below(a, window, parity, grid).tolist()
     if not math.isfinite(grid_max):
         raise FloatOverflow("the grid top exceeds the float range")
-    grid = [float(lam) for lam in
-            np.linspace(grid_max / grid_points, grid_max, grid_points)]
-    width = max(band, default=0)
-    if width > 1 and 16 * len(grid) * (width + 1) ** 2 > n * n:
-        # banded LDL* takes about n * len(grid) * (width + 1)**2 numpy
-        # element operations; past n**3 / 16 one dense solve is faster
-        observed = np.searchsorted(_eigenvalues(n, band), grid,
-                                   side="left").tolist()
-    else:
-        observed = _count_below(n, band, grid).tolist()
     predicted = [0.0 if lam <= 0 else (lam / c) ** (1.0 / m) for lam in grid]
     params = {
         "experiment": "weyl",

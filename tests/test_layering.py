@@ -62,9 +62,8 @@ def test_oracle_independent_of_criteria():
 
 
 def test_weyl_counts_without_a_dense_solve(monkeypatch, capsys):
-    # counting is by inertia on the band: no eigensolver for bands 0 and 1,
-    # nor for wider bands where LDL* is cheaper than one dense solve, both
-    # in-process and through the command line
+    # counting is by inertia on the band: no eigensolver at bandwidths 0, 1
+    # or 2, both in-process and through the command line
     import numpy as np
 
     from mucut.cli import main

@@ -1,6 +1,7 @@
 """Float layer: projected spectra, Weyl counts, residue fits."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -18,7 +19,7 @@ from mucut import (CanonicalOperator, ExperimentReport, FitRangeTooSmall,
                    weyl_compare, Parity)
 from mucut.operators import matrix_terms, retained_modes
 from mucut.oracle import random_commuting_operator
-from mucut.spectral import _band, _count_below
+from mucut.spectral import count_below
 
 D = make_generator("D")
 Raise = make_generator("Raise")
@@ -121,6 +122,23 @@ class TestWeylCounting:
         with pytest.raises(NotElliptic):
             weyl_compare(CanonicalOperator({1: Polynomial([1])}), 32)
 
+    @pytest.mark.parametrize("window", [16, 128])
+    def test_spectrum_beyond_float_range_at_any_window(self, window):
+        # the largest entry, c * window**3, just below the float range and
+        # the top eigenvalue past it: counts and spectrum both fail; at half
+        # that scale both succeed
+        base = D * D * D + Raise * Raise + Lower * Lower
+        c = (Fraction(int(sys.float_info.max)) * (1 - Fraction(1, 2 ** 12))
+             / window ** 3)
+        a = base * GaussianRational(c)
+        with pytest.raises(FloatOverflow):
+            projected_spectrum(a, window)
+        with pytest.raises(FloatOverflow):
+            weyl_compare(a, window)
+        half = base * GaussianRational(c / 2)
+        assert np.all(np.isfinite(projected_spectrum(half, window).values))
+        assert weyl_compare(half, window).observed[-1] > 0
+
 
 def entrywise_compression(a, window, parity):
     """The compression filled one exact entry at a time: the reference the
@@ -206,13 +224,13 @@ class TestInertiaCounts:
         # thresholds anywhere across the spectrum, plus diagonal entries
         # themselves, where the first pivots of A - t*I vanish exactly
         a, parity = member
-        n, band = _band(a, window, parity)
-        values = np.linalg.eigvalsh(projected_compression(a, window, parity))
+        matrix = projected_compression(a, window, parity)
+        values = np.linalg.eigvalsh(matrix)
         lo_t, hi_t = values[0] - 1.0, values[-1] + 1.0
-        diag = band.get(0, np.zeros(n)).real
+        diag = np.diagonal(matrix).real
         thresholds = ([lo_t + u * (hi_t - lo_t) for u in fractions]
-                      + [float(diag[i % n]) for i in picks])
-        counts = _count_below(n, band, thresholds)
+                      + [float(diag[i % len(diag)]) for i in picks])
+        counts = count_below(a, window, parity, thresholds)
         lo, hi = tolerated_counts(values, thresholds)
         assert np.all((lo <= counts) & (counts <= hi)), (counts, lo, hi)
 
@@ -231,19 +249,31 @@ class TestInertiaCounts:
                 thresholds = ([values[0] - 1.0, values[-1] + 1.0]
                               + [(values[i] + values[i + 1]) / 2
                                  for i in gaps])
-                counts = _count_below(*_band(a, window, parity), thresholds)
+                counts = count_below(a, window, parity, thresholds)
                 exact = [exact_negative_pivots(a, window, parity, Fraction(t))
                          for t in thresholds]
                 assert counts.tolist() == exact
 
-    def test_wide_band_falls_back_to_the_same_counts(self):
-        # at window 16 banded LDL* over 64 grid values would cost more
-        # than one dense solve, so weyl_compare counts from the spectrum
+    def test_uncertified_count_comes_from_the_spectrum(self, monkeypatch):
+        # at t = 0 the first pivot of D*D*D + Raise*Raise + Lower*Lower is
+        # exactly 0 and couples to row 2, so banded LDL* cannot bound that
+        # count and reads it from the spectrum; at t = 100 it can
         a = D * D * D + Raise * Raise + Lower * Lower
-        report = weyl_compare(a, 16)
-        counts = _count_below(*_band(a, 16, Parity.FULL),
-                              report.params["grid"])
-        assert list(report.observed) == counts.tolist()
+        values = np.linalg.eigvalsh(projected_compression(a, 16, Parity.FULL))
+        eigvalsh = np.linalg.eigvalsh
+        solves = []
+
+        def counted(matrix):
+            solves.append(len(matrix))
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert count_below(a, 16, Parity.FULL, [100.0]).tolist() == [
+            np.searchsorted(values, 100.0)]
+        assert solves == []
+        assert count_below(a, 16, Parity.FULL, [0.0, 100.0]).tolist() == [
+            np.searchsorted(values, 0.0), np.searchsorted(values, 100.0)]
+        assert solves == [17]
 
     def test_weyl_compare_never_builds_the_dense_matrix(self):
         # the dense 4097 x 4097 complex compression alone is 268 MB
