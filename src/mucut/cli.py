@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 malformed input (bad argv, unreadable or invalid
 JSON), 2 domain errors (reported as a machine-readable object), 3 selftest
 failure. Reports are deterministic: identical argv and seed produce
 byte-identical output.
+
+Only the handlers of ``spectrum``, ``weyl``, ``residue`` and ``selftest``
+import the float layer, and numpy with it; the exact subcommands start
+without them.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ from .cones import (FULL_PLANE, Cone2, cut_cone, cut_plan,
                     equivalence_witness, lens_cone, normal_form)
 from .cutspace import Jet, extends_smoothly, odd_monomials, pullback_jet, \
     pushforward_symbol
-from .errors import DomainError
+from .errors import SCHEMA, DomainError
 from .operators import (MAX_WINDOW_MODES, CanonicalOperator, Parity,
                         commutant_factorize, shift_divisor,
                         szego_commutator_entries, szego_commutes,
                         verify_pk_identity)
-from .selftest import DEFAULT_SEED, run_selftest
-from .spectral import SCHEMA, projected_spectrum, residue_contour, \
-    residue_log_fit, weyl_compare
 from .symbols import LaurentSymbol, SymbolVariant
 
 
@@ -159,6 +160,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _resolve_seed(value):
+    from .selftest import DEFAULT_SEED
     if value is not None:
         return value
     env = os.environ.get("MUCUT_SEED")
@@ -209,6 +211,7 @@ def _cmd_identity_pk(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectral import projected_spectrum
     op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     parity = Parity(args.parity)
     spectrum = projected_spectrum(op, args.window, parity)
@@ -222,6 +225,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
+    from .spectral import weyl_compare
     op = _parse(CanonicalOperator, _load_payload(args.input), "operator")
     report = weyl_compare(op, args.window, grid_max=args.grid_max,
                           parity=Parity(args.parity),
@@ -246,6 +250,7 @@ def _load_diagonal(text: str):
 
 
 def _cmd_residue(args) -> int:
+    from .spectral import residue_contour, residue_log_fit
     sources = [s for s in (args.input, args.diagonal,
                            args.harmonic is not None) if s]
     if len(sources) != 1:
@@ -362,6 +367,7 @@ def _selftest_table(report: dict) -> str:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest
     seed = _resolve_seed(args.seed)
     report = run_selftest(
         seed, include_uniform_range_diagnostic=args.uniform_negative_range)

@@ -5,6 +5,9 @@ malformed input) derives from :class:`DomainError`, so callers (notably the CLI)
 can map the whole family to one exit path.
 """
 
+#: schema tag of every report and error object the package emits
+SCHEMA = "mucut/1"
+
 
 class DomainError(Exception):
     """A structurally valid input that violates a mathematical precondition."""

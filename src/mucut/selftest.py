@@ -19,7 +19,7 @@ from .cones import (FULL_PLANE, ConeNormalForm, apply_unimodular, cut_cone,
                     cut_plan, equivalence_witness, gl_equivalent, lens_cone,
                     normal_form, sphere_cone)
 from .cutspace import Jet, extends_smoothly, pullback_jet, pushforward_symbol
-from .errors import DegenerateCut, EmptyCut, NotInCommutant, OddJet
+from .errors import SCHEMA, DegenerateCut, EmptyCut, NotInCommutant, OddJet
 from .exact import GaussianRational, Polynomial, Unimodular2
 from .operators import (CanonicalOperator, Parity, commutant_factorize,
                         commutator, compose, make_generator, matrix_terms,
@@ -30,9 +30,8 @@ from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
                      random_unimodular)
-from .spectral import (SCHEMA, count_below, projected_compression,
-                       projected_spectrum, residue_contour, residue_log_fit,
-                       weyl_compare)
+from .spectral import (count_below, projected_compression, projected_spectrum,
+                       residue_contour, residue_log_fit, weyl_compare)
 from .symbols import (LaurentSymbol, SymbolVariant, build_commuting_from_symbol,
                       exactness_witness, leading_symbol, symbol_tower,
                       variant_for_parity)

@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitRangeTooSmall, FloatOverflow, NotElliptic, WrongDegree
+from .errors import (SCHEMA, FitRangeTooSmall, FloatOverflow, NotElliptic,
+                     WrongDegree)
 from .exact import GaussianRational, _float_values
 from .operators import (CanonicalOperator, Parity, matrix_terms,
                         require_self_adjoint, retained_modes, szego_commutes)
 from .symbols import LaurentSymbol, leading_symbol
-
-SCHEMA = "mucut/1"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """Package layering: the exact core stays numpy-free and alone reads
-rational parts; the oracle stays clear of the criteria it checks; the export
-list holds."""
+rational parts; the package and the exact subcommands start without numpy,
+which loads with the float layer on first use, and output bytes do not
+depend on when it loads; the oracle stays clear of the criteria it checks;
+the export list holds."""
 
 import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import mucut
 
@@ -28,6 +36,117 @@ def test_numpy_only_in_float_layers():
     users = {path.name for path in PACKAGE.glob("*.py")
              if "numpy" in imported_roots(path)}
     assert users <= NUMPY_MODULES, sorted(users - NUMPY_MODULES)
+
+
+def module_level_imports(path: Path) -> set:
+    """Last components of the modules a file imports outside any function
+    body, with the names of ``from . import x``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_functions = {id(node) for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    for node in ast.walk(func)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:
+                names.update(alias.name for alias in node.names)
+    return {name.split(".")[-1] for name in names}
+
+
+def test_float_layer_imported_at_function_level_only():
+    float_modules = {name.removesuffix(".py") for name in NUMPY_MODULES}
+    for name in ("cli.py", "__init__.py"):
+        found = module_level_imports(PACKAGE / name) & float_modules
+        assert not found, (name, sorted(found))
+
+
+def cold_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``code`` with this checkout's package."""
+    path = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_package_and_cli_import_without_numpy():
+    done = cold_child("import sys, mucut, mucut.cli; "
+                      "print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+ZERO, ONE = '{"re": "0", "im": "0"}', '{"re": "1", "im": "0"}'
+OPERATOR = f'{{"terms": [{{"k": 1, "poly": [{ONE}, {ONE}]}}]}}'
+JET = f'{{"dmax": 3, "coeffs": [{{"k": 2, "l": 0, "value": {ONE}}}]}}'
+SYMBOL = f'{{"degree": 1, "modes": [{{"k": -2, "poly": [{ZERO}, {ONE}]}}]}}'
+EXACT_ARGVS = [
+    ["commutant-check", OPERATOR],
+    ["factorize", OPERATOR],
+    ["identity-pk", "--max-k", "3"],
+    ["jet-extend", JET],
+    ["pullback", JET],
+    ["pushforward", SYMBOL],
+    ["cone-lens", "--p", "5", "--q", "2"],
+    ["cone-cut", '{"lens": [5, 2]}', "--normal", "1", "0"],
+    ["cone-equiv", '{"first": {"lens": [5, 2]}, "second": {"lens": [5, 3]}}'],
+    ["cone-plan", '{"lens": [5, 2]}'],
+]
+
+
+# runs main() on its argv, then reports the exit code and whether numpy loaded
+MAIN_CHILD = """
+import sys
+from mucut.cli import main
+status = main(sys.argv[1:])
+sys.stderr.write(f"{status} {'numpy' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS, ids=[a[0] for a in EXACT_ARGVS])
+def test_exact_subcommand_runs_without_numpy(argv):
+    done = cold_child(MAIN_CHILD, *argv)
+    assert done.stderr == "0 False\n"
+    assert json.loads(done.stdout)["schema"] == mucut.SCHEMA
+
+
+# the spectrum requests of the benchmark's cli mix at seeds 1-3:
+# Lower + Raise + (n**2 + shift*n) at these windows
+@pytest.mark.parametrize("shift, window", [
+    ("-1/8", 32), ("1/12", 40), ("1/8", 40), ("-1/12", 48), ("1/16", 24),
+    ("-1/8", 40)])
+def test_spectrum_bytes_independent_of_import_order(capsys, shift, window):
+    # a cold child imports numpy when the handler runs, this process long
+    # before; the report bytes must not depend on that
+    from mucut.cli import main
+
+    diagonal = f'[{ZERO}, {{"re": "{shift}", "im": "0"}}, {ONE}]'
+    op = (f'{{"terms": [{{"k": -1, "poly": [{ZERO}, {ONE}]}}, '
+          f'{{"k": 0, "poly": {diagonal}}}, '
+          f'{{"k": 1, "poly": [{ONE}, {ONE}]}}]}}')
+    argv = ["spectrum", op, "--window", str(window)]
+    cold = cold_child(MAIN_CHILD, *argv)
+    assert cold.stderr == "0 True\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold.stdout
+
+
+def test_lazy_names_are_their_modules_attributes():
+    assert set(mucut.__all__) <= set(dir(mucut))
+    for name, module in mucut._LAZY.items():
+        assert name in mucut.__all__
+        source = importlib.import_module(f"mucut.{module}")
+        assert getattr(mucut, name) is getattr(source, name)
+        # resolved once, then a plain module attribute
+        assert vars(mucut)[name] is getattr(source, name)
+    assert not hasattr(mucut, "no_such_name")
 
 
 def test_fraction_parts_read_only_in_exact():
