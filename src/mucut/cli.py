@@ -371,13 +371,10 @@ def _cmd_selftest(args) -> int:
     seed = _resolve_seed(args.seed)
     report = run_selftest(
         seed, include_uniform_range_diagnostic=args.uniform_negative_range)
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _generic_csv(report)
+    if args.format == "table":
+        _write_output(args, _selftest_table(report))
     else:
-        text = _selftest_table(report)
-    _write_output(args, text)
+        _emit(args, report)
     return 0 if report["passed"] else 3
 
 

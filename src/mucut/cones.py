@@ -172,8 +172,6 @@ def cut_cone(cone, normal):
         new_u, new_v = boundary, cone.v
     else:
         new_u, new_v = cone.u, boundary
-    if (_det(new_u, new_v) > 0) != (_det(cone.u, cone.v) > 0):
-        new_u, new_v = new_v, new_u
     return Cone2(new_u, new_v)
 
 

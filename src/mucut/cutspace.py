@@ -13,7 +13,7 @@ from .exact import (GaussianRational, Polynomial, _as_gaussian,
                     _merge_terms, _nonzero_terms, _scale_terms, _SCALARS,
                     _strict_int, _term_sum, _TermMap, _terms_from_json,
                     _terms_to_json)
-from .symbols import LaurentSymbol, SymbolVariant
+from .symbols import _PARITY, LaurentSymbol, SymbolVariant
 
 
 class Jet(_TermMap):
@@ -117,9 +117,9 @@ def pullback_jet(jet: Jet, variant: SymbolVariant) -> LaurentSymbol:
     if odd:
         raise OddJet("jet has odd-degree monomials and does not descend",
                      monomials=odd)
-    turns = 1 if variant is SymbolVariant.M_PLUS_EVEN else 2
+    step = _PARITY[variant].step
     return LaurentSymbol(_term_sum(
-        ((l - k) // turns, Polynomial.monomial((k + l) // 2, value))
+        ((l - k) * step // 2, Polynomial.monomial((k + l) // 2, value))
         for (k, l), value in jet._terms.items()))
 
 
@@ -133,20 +133,17 @@ def pushforward_symbol(sigma: LaurentSymbol, variant: SymbolVariant) -> Jet:
     variant = SymbolVariant(variant)
     if sigma.degree is not None and sigma.degree < 0:
         raise NotAdmissible("negative-degree symbols do not extend to jets")
+    step = _PARITY[variant].step
     coeffs: dict[tuple, GaussianRational] = {}
     top = 0
     for k, poly in sigma.modes.items():
+        if k % step:
+            raise NotAdmissible(
+                f"odd mode {k} has no monomial preimage on the even cone")
         for d, value in enumerate(poly.coefficients):
             if not value:
                 continue
-            if variant is SymbolVariant.M_PLUS_EVEN:
-                if k % 2:
-                    raise NotAdmissible(
-                        f"odd mode {k} has no monomial preimage on the even cone")
-                half = k // 2
-            else:
-                half = k
-            a, b = d - half, d + half
+            a, b = d - k // step, d + k // step
             if a < 0 or b < 0:
                 raise NotAdmissible(
                     f"mode {k} at radial power {d} has no monomial preimage")

@@ -327,19 +327,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __divmod__(self, divisor: "Polynomial"):
         divisor = _coerce_poly(divisor)
         if divisor is None:

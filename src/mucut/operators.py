@@ -47,6 +47,10 @@ class Parity(enum.Enum):
         """Spacing of the retained modes: 1 (full) or 2 (even)."""
         return 1 if self is Parity.FULL else 2
 
+    def retains(self, n: int) -> bool:
+        """Whether the projector keeps mode ``n``."""
+        return n >= 0 and n % self.step == 0
+
 
 def retained_modes(window: int, parity: Parity) -> range:
     """The first ``window + 1`` modes the projector keeps: ``0..window``
@@ -279,45 +283,33 @@ def szego_commutator_entries(a: CanonicalOperator,
                              window: int | None = None):
     """Nonzero entries ``(row, col, value)`` of ``[projector, a]``.
 
-    For the full projector the support is always finite and the complete set
-    is returned. For the even projector, odd shifts make the support
-    infinite (a nonzero polynomial survives at all large even modes); in
-    that case entries are reported for column modes up to ``window``
-    (default: enough candidates to witness every nonzero term). The list is
-    empty iff the operator commutes with the projector.
+    The k-shift has an entry at column ``n`` where the projector keeps
+    exactly one of ``n`` and ``n + k``. With ``window``, entries are
+    reported for row and column modes within ``-window..window``. Without
+    it the full set is returned; an odd shift against the even projector
+    has infinite support (a nonzero polynomial survives at all large even
+    modes), so its columns then run only far enough to witness the term.
+    The list is empty iff the operator commutes with the projector.
     """
     if window is not None:
         check_window(window)
+    parity = Parity(parity)
     entries = []
-    for k, q in sorted(a._terms.items()):
+    for k, q in a._terms.items():
         columns = required_vanishing(k, parity)
         if columns is None:
-            # Odd shift against the even projector: entries at every even
-            # column n >= 0 (sign -) and every odd column n with
-            # n + k >= 0 (sign +). Infinite support; truncate honestly.
-            limit = window
-            if limit is None:
-                limit = abs(k) + 2 * ((q.degree or 0) + 1)
-            cols = set(range(0, limit + 1, 2))
-            cols.update(n for n in range(-k, limit + 1)
-                        if n % 2 and n + k >= 0)
-            for n in sorted(cols):
-                if window is not None and abs(n + k) > window:
-                    continue
-                value = q(n)
-                if not value:
-                    continue
-                entry_sign = -1 if n % 2 == 0 else 1
-                entries.append((n + k, n, entry_sign * value))
-            continue
-        sign = 1 if k > 0 else -1
+            top = window
+            if top is None:
+                top = abs(k) + 2 * ((q.degree or 0) + 1)
+            columns = [n for n in range(-abs(k), top + 1)
+                       if parity.retains(n) != parity.retains(n + k)]
         for n in columns:
-            if window is not None and not (abs(n) <= window
-                                           and abs(n + k) <= window):
+            if window is not None and max(abs(n), abs(n + k)) > window:
                 continue
             value = q(n)
             if value:
-                entries.append((n + k, n, sign * value))
+                entries.append((n + k, n,
+                                -value if parity.retains(n) else value))
     entries.sort(key=lambda e: (e[1], e[0]))
     return entries
 

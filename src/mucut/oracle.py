@@ -21,17 +21,12 @@ from .operators import CanonicalOperator, Parity, matrix_terms
 from .symbols import _PARITY, LaurentSymbol, SymbolVariant
 
 
-def projected_mode(n: int, parity: Parity) -> bool:
-    """Whether mode ``n`` survives the projector of the given parity."""
-    return n >= 0 and n % Parity(parity).step == 0
-
-
 def _leak_divisor(k: int, parity: Parity) -> Polynomial:
     """Monic polynomial whose roots are the modes the k-shift carries across
     the projector, found by testing every mode that could cross."""
+    retains = Parity(parity).retains
     return Polynomial.from_roots(
-        n for n in range(-abs(k), abs(k))
-        if projected_mode(n, parity) != projected_mode(n + k, parity))
+        n for n in range(-abs(k), abs(k)) if retains(n) != retains(n + k))
 
 
 def exact_entries(a: CanonicalOperator, window: int) -> dict:
@@ -61,8 +56,7 @@ def projector_commutator_entries(a: CanonicalOperator, window: int,
     out = {}
     for k, poly, cols in matrix_terms(a, range(-window, window + 1)):
         for col in cols:
-            jump = (int(projected_mode(col + k, parity))
-                    - int(projected_mode(col, parity)))
+            jump = int(parity.retains(col + k)) - int(parity.retains(col))
             if jump:
                 value = poly(col)
                 if value:

@@ -23,9 +23,9 @@ from .errors import SCHEMA, DegenerateCut, EmptyCut, NotInCommutant, OddJet
 from .exact import GaussianRational, Polynomial, Unimodular2
 from .operators import (CanonicalOperator, Parity, commutant_factorize,
                         commutator, compose, make_generator, matrix_terms,
-                        recompose_factors, required_vanishing,
-                        retained_modes, szego_commutator_entries,
-                        szego_commutes, verify_pk_identity)
+                        recompose_factors, retained_modes,
+                        szego_commutator_entries, szego_commutes,
+                        verify_pk_identity)
 from .oracle import (matrix_commutes, projector_commutator_entries,
                      random_admissible_symbol, random_commuting_operator,
                      random_cone, random_jet, random_odd_jet, random_operator,
@@ -92,19 +92,11 @@ def _row_reversed_even_lowering(rng: Random):
     return True, "reversed-order even lowering rejected with mode-0 witness"
 
 
-def _mirrored_vanishing(k: int, parity: Parity):
-    """The deliberately wrong diagnostic rule: a negative shift takes the
-    vanishing set of the positive shift of the same size."""
-    return required_vanishing(abs(k), parity)
-
-
 def _mirrored_commutes(a: CanonicalOperator, parity: Parity) -> bool:
-    """:func:`szego_commutes` run on the mirrored table."""
-    for k, q in a.terms.items():
-        where = _mirrored_vanishing(k, parity)
-        if where is None or any(q(n) for n in where):
-            return False
-    return True
+    """The deliberately wrong diagnostic rule: :func:`szego_commutes` with
+    each negative shift judged by the positive shift of the same size."""
+    return all(szego_commutes(CanonicalOperator({abs(k): q}), parity)
+               for k, q in a.terms.items())
 
 
 def _run_agreement(rng: Random, samples: int, criterion):

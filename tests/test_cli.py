@@ -243,6 +243,16 @@ class TestCommutantCheck:
         assert code == 0
         assert payload["commutes"] is False
 
+    def test_window_bounds_odd_shift_witnesses(self, capsys):
+        # the leaks of a 5-shift against the even projector all have a
+        # row or column outside modes -2..2
+        shift5 = '{"terms": [{"k": 5, "poly": [{"re": "1/1", "im": "0/1"}]}]}'
+        code, payload = run_json(capsys, "commutant-check", shift5,
+                                 "--parity", "even", "--window", "2")
+        assert code == 0
+        assert payload["commutes"] is False
+        assert payload["violations"] == []
+
     def test_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(RAISE))
         code, payload = run_json(capsys, "commutant-check", "-")

@@ -127,6 +127,18 @@ class TestCutCone:
             assert contains(c, gen)
             assert gen[0] * normal[0] + gen[1] * normal[1] >= 0
 
+    @given(cones, vectors)
+    def test_keeps_orientation(self, c, normal):
+        try:
+            result = cut_cone(c, normal)
+        except (EmptyCut, DegenerateCut):
+            return
+
+        def det(u, v):
+            return u[0] * v[1] - u[1] * v[0]
+
+        assert (det(result.u, result.v) > 0) == (det(c.u, c.v) > 0)
+
 
 class TestUnimodularAction:
     def test_shear_on_lens(self):
