@@ -4,6 +4,13 @@ Rationals are stdlib :class:`fractions.Fraction` (always reduced, positive
 denominator, arbitrary precision); this module layers the complex-rational
 field, dense univariate polynomials over it, and the small amount of integer
 lattice algebra the cone calculus needs.
+
+A polynomial is not a tuple of Gaussian rationals: it stores the integer
+numerators of its real and imaginary parts over one positive common
+denominator, with one gcd reduction per result (the content/primitive-part
+form of FLINT's ``fmpq_poly``). Its arithmetic, shifts, division and
+evaluation run on Python ints; Gaussian rationals are built only where a
+coefficient or a value is read.
 """
 
 from __future__ import annotations
@@ -57,8 +64,10 @@ class GaussianRational:
             if im != 0:
                 raise TypeError("imaginary part given twice")
             re, im = re.re, re.im
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re",
+                           re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im",
+                           im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -185,16 +194,84 @@ class GaussianRational:
                    rational_from_str(data.get("im", "0")))
 
 
-_ZERO = GaussianRational(0)
-_ONE = GaussianRational(1)
+def _gaussian_parts(value) -> tuple[int, int, int]:
+    """Integers ``(re, im, den)``, ``den > 0``, with ``value`` equal to
+    ``(re + i*im) / den``; an int passes through without a Fraction."""
+    if type(value) is int:
+        return value, 0, 1
+    z = _as_gaussian(value)
+    den = lcm(z.re.denominator, z.im.denominator)
+    return (z.re.numerator * (den // z.re.denominator),
+            z.im.numerator * (den // z.im.denominator), den)
+
+
+# The numerator parts below are integer polynomials: sequences of ints,
+# lowest degree first.
+
+def _axpy(a: list, b, factor: int = 1) -> list:
+    """``a + factor*b``, in place on the list ``a``."""
+    a.extend([0] * (len(b) - len(a)))
+    for i, c in enumerate(b):
+        a[i] += factor * c
+    return a
+
+
+def _convolve(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _taylor_shift(a, t: int) -> list:
+    """``a(x + t)``, by Horner's rule on ``x + t``."""
+    acc = []
+    for c in reversed(a):
+        acc = [x + t * y for x, y in zip([c] + acc, acc + [0])]
+    return acc
+
+
+def _horner(a, x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
+def _padded(re, im) -> tuple[list, list]:
+    n = max(len(re), len(im))
+    return list(re) + [0] * (n - len(re)), list(im) + [0] * (n - len(im))
+
+
+def _poly(den: int, re: list, im: list) -> "Polynomial":
+    """``(re + i*im) / den`` in canonical form: both lists lose their
+    trailing zeros, then ``den`` and the numerators their common factor."""
+    while re and not re[-1]:
+        re.pop()
+    while im and not im[-1]:
+        im.pop()
+    g = gcd(den, *re, *im)
+    if g != 1:
+        den, re, im = den // g, [c // g for c in re], [c // g for c in im]
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_re", tuple(re))
+    object.__setattr__(p, "_im", tuple(im))
+    return p
 
 
 class Polynomial:
     """Dense univariate polynomial over the Gaussian rationals.
 
-    Coefficients are stored lowest-degree first with trailing zeros stripped.
-    The zero polynomial has an empty coefficient tuple and ``degree`` ``None``
-    (a deliberate sentinel: callers must branch on it explicitly instead of
+    Stored as ``(re + i*im) / den``: one positive denominator ``den`` and
+    the integer numerators ``re`` and ``im`` of the real and imaginary
+    parts, lowest degree first, each without trailing zeros, and
+    ``gcd(den, numerators) == 1``, so equal polynomials are stored alike.
+    ``coefficients`` builds the Gaussian rationals when it is read. The
+    zero polynomial has no coefficients and ``degree`` ``None`` (a
+    deliberate sentinel: callers must branch on it explicitly instead of
     relying on a numeric convention).
 
     >>> p = Polynomial([1, 1])        # 1 + x
@@ -206,17 +283,22 @@ class Polynomial:
     True
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("_den", "_re", "_im")
 
-    def __init__(self, coefficients=()):
-        coeffs = [c if isinstance(c, GaussianRational) else GaussianRational(c)
-                  for c in coefficients]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    def __new__(cls, coefficients=()):
+        parts = [_gaussian_parts(c) for c in coefficients]
+        den = lcm(*(d for _, _, d in parts))
+        return _poly(den, [r * (den // d) for r, _, d in parts],
+                     [i * (den // d) for _, i, d in parts])
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coefficients(self) -> tuple:
+        den = self._den
+        return tuple(GaussianRational(Fraction(r, den), Fraction(i, den))
+                     for r, i in zip(*_padded(self._re, self._im)))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -238,60 +320,71 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots) -> "Polynomial":
-        result = cls.one()
-        for r in roots:
-            result = result * cls((GaussianRational(-1) * GaussianRational(r), 1))
-        return result
+        """``(x - r_1)...(x - r_n)``: each ``r = (rr + i*ri) / d``
+        multiplies the numerators by ``d*x - rr - i*ri``."""
+        re, im, den = [1], [0], 1
+        for root in roots:
+            rr, ri, d = _gaussian_parts(root)
+            low_re, low_im = re + [0], im + [0]
+            re, im = ([d * a - rr * b + ri * c
+                       for a, b, c in zip([0] + re, low_re, low_im)],
+                      [d * a - rr * c - ri * b
+                       for a, b, c in zip([0] + im, low_re, low_im)])
+            den *= d
+        return _poly(den, re, im)
 
     @property
     def degree(self):
         """Degree, or ``None`` for the zero polynomial."""
-        if not self.coefficients:
-            return None
-        return len(self.coefficients) - 1
+        return max(len(self._re), len(self._im)) - 1 if self else None
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self
 
     def leading_coefficient(self) -> GaussianRational:
-        if not self.coefficients:
+        if not self:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        re, im = _padded(self._re, self._im)
+        return GaussianRational(Fraction(re[-1], self._den),
+                                Fraction(im[-1], self._den))
+
+    def support(self) -> list:
+        """The degrees with a nonzero coefficient, lowest first."""
+        re, im = _padded(self._re, self._im)
+        return [n for n, (r, i) in enumerate(zip(re, im)) if r or i]
 
     def __call__(self, x) -> GaussianRational:
         """Exact value at ``x`` by Horner's rule on Python integers.
 
-        The coefficients go over one common denominator ``den`` and ``x`` is
-        written as ``(xr + i*xi) / dx``; the loop accumulates
-        ``den * dx**degree * p(x)`` and the one division comes at the end.
+        With ``x`` written as ``(xr + i*xi) / dx`` the loop accumulates
+        ``den * dx**degree * p(x)``, and the one division comes at the end.
         """
-        x = _as_gaussian(x)
-        if not self.coefficients:
-            return _ZERO
-        den, scaled = _integer_coefficients(self.coefficients)
-        dx = lcm(x.re.denominator, x.im.denominator)
-        xr = x.re.numerator * (dx // x.re.denominator)
-        xi = x.im.numerator * (dx // x.im.denominator)
+        xr, xi, dx = _gaussian_parts(x)
+        den = self._den
+        if not xi and dx == 1:
+            return GaussianRational(Fraction(_horner(self._re, xr), den),
+                                    Fraction(_horner(self._im, xr), den))
         re = im = 0
         power = 1
-        for cr, ci in scaled:
+        for cr, ci in zip(*map(reversed, _padded(self._re, self._im))):
             re, im = (re * xr - im * xi + cr * power,
                       re * xi + im * xr + ci * power)
             power *= dx
-        scale = den * power // dx
+        scale = den * power // dx if self else 1
         return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign*other`` over the least common denominator."""
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return _poly(den, _axpy([fa * c for c in self._re], other._re, fb),
+                     _axpy([fa * c for c in self._im], other._im, fb))
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] = summed[i] + c
-        return Polynomial(summed)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -299,86 +392,102 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other._plus(self, -1)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coefficients])
+        return self * -1
 
     def __mul__(self, other):
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return Polynomial.zero()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Polynomial(out)
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        return _poly(self._den * other._den,
+                     _axpy(_convolve(ar, br), _convolve(ai, bi), -1),
+                     _axpy(_convolve(ar, bi), _convolve(ai, br)))
 
     __rmul__ = __mul__
 
     def __divmod__(self, divisor: "Polynomial"):
+        """Pseudo-division on the numerators ``A`` and ``B``.
+
+        With ``b`` the leading entry of ``B`` and ``N = |b|**2``, long
+        division by ``conj(b)*B``, which leads with ``N``, scales the
+        running remainder by ``N`` at each of its ``e`` steps; that gives
+        ``N**e * A = Q * conj(b)*B + R`` on Gaussian integers.
+        """
         divisor = _coerce_poly(divisor)
         if divisor is None:
             return NotImplemented
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self.coefficients)
-        dcoeffs = divisor.coefficients
-        dlead = dcoeffs[-1]
-        dn = len(dcoeffs)
-        if len(remainder) < dn:
+        n = divisor.degree
+        if not self or self.degree < n:
             return Polynomial.zero(), self
-        quotient = [_ZERO] * (len(remainder) - dn + 1)
-        for top in range(len(remainder) - 1, dn - 2, -1):
-            c = remainder[top]
-            if not c:
-                continue
-            q = c / dlead
-            pos = top - dn + 1
-            quotient[pos] = q
-            for j in range(dn):
-                remainder[pos + j] = remainder[pos + j] - q * dcoeffs[j]
-        return Polynomial(quotient), Polynomial(remainder)
+        br, bi = _padded(divisor._re, divisor._im)
+        fr, fi = br[n], -bi[n]
+        lead = fr * fr + fi * fi
+        br, bi = ([fr * r - fi * i for r, i in zip(br, bi)],
+                  [fr * i + fi * r for r, i in zip(br, bi)])
+        rr, ri = _padded(self._re, self._im)
+        qr, qi = [0] * (len(rr) - n), [0] * (len(rr) - n)
+        for pos in range(len(qr) - 1, -1, -1):
+            cr, ci = rr[pos + n], ri[pos + n]
+            if lead != 1:
+                rr, ri, qr, qi = ([lead * c for c in part]
+                                  for part in (rr, ri, qr, qi))
+            qr[pos], qi[pos] = cr, ci
+            for j in range(n + 1):
+                rr[pos + j] -= cr * br[j] - ci * bi[j]
+                ri[pos + j] -= cr * bi[j] + ci * br[j]
+        den, db = self._den * lead ** len(qr), divisor._den
+        return (_poly(den, [db * (r * fr - i * fi) for r, i in zip(qr, qi)],
+                      [db * (r * fi + i * fr) for r, i in zip(qr, qi)]),
+                _poly(den, rr[:n], ri[:n]))
 
     def shift(self, offset) -> "Polynomial":
-        """Precompose with a translation: returns ``p(x + offset)``."""
-        if not self.coefficients:
-            return self
-        translate = Polynomial((GaussianRational(offset), _ONE))
-        acc = Polynomial.zero()
-        for c in reversed(self.coefficients):
-            acc = acc * translate + Polynomial((c,))
+        """Precompose with a translation: returns ``p(x + offset)``.
+
+        An integer offset is an integer Taylor shift of each numerator
+        part; any other runs Horner's rule on ``x + offset``.
+        """
+        if type(offset) is int:
+            return _poly(self._den, _taylor_shift(self._re, offset),
+                         _taylor_shift(self._im, offset))
+        translate, acc = Polynomial((offset, 1)), Polynomial()
+        for cr, ci in zip(*map(reversed, _padded(self._re, self._im))):
+            acc = acc * translate + _poly(self._den, [cr], [ci])
         return acc
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([c * n for n, c in enumerate(self.coefficients)][1:])
+        return _poly(self._den, [n * c for n, c in enumerate(self._re)][1:],
+                     [n * c for n, c in enumerate(self._im)][1:])
 
     def conjugate(self) -> "Polynomial":
         """Conjugate the coefficients (not the variable)."""
-        return Polynomial([c.conjugate() for c in self.coefficients])
+        return _poly(self._den, list(self._re), [-c for c in self._im])
 
     def __bool__(self):
-        return bool(self.coefficients)
+        return bool(self._re or self._im)
 
     def __eq__(self, other):
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return (self._den, self._re, self._im) == (other._den, other._re,
+                                                    other._im)
 
     def __hash__(self):
-        return hash(self.coefficients)
+        # a constant hashes as the scalar it equals
+        if not self.degree:
+            return hash(self.leading_coefficient()) if self else 0
+        return hash((self._den, self._re, self._im))
 
     def __repr__(self):
         return f"Polynomial({list(self.coefficients)!r})"
@@ -394,7 +503,7 @@ class Polynomial:
                 terms.append(str(c))
             else:
                 xpow = "x" if n == 1 else f"x^{n}"
-                if c == _ONE:
+                if c == 1:
                     terms.append(xpow)
                 else:
                     coeff = str(c)
@@ -434,40 +543,20 @@ def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
     return quotient
 
 
-def _integer_coefficients(coeffs) -> tuple[int, list]:
-    """``(den, scaled)``: the coefficients over one common denominator
-    ``den``, with ``scaled`` the integer numerators ``(re, im)`` of each,
-    highest degree first as Horner's rule takes them."""
-    den = lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
-    return den, [(c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator))
-                 for c in reversed(coeffs)]
-
-
 def _float_values(p: Polynomial, points: range) -> tuple[list, list]:
     """Real and imaginary parts of ``complex(p(n))`` for every ``n`` in
-    ``points``, a range of integers, evaluated in one pass.
+    ``points``, a range of integers.
 
-    This is the integer Horner of :meth:`Polynomial.__call__` at ``dx = 1``
-    on the same :func:`_integer_coefficients`, found once for the whole
-    range. Each part is then one correctly rounded ``int / int`` division,
-    so the floats are bit-identical to converting each exact value. A part
-    beyond the float range raises :class:`FloatOverflow`.
+    Each part is the integer Horner of its stored numerators at ``n``, then
+    one correctly rounded ``int / int`` division by the denominator, so the
+    floats are bit-identical to converting each exact value. A part beyond
+    the float range raises :class:`FloatOverflow`.
     """
-    den, scaled = _integer_coefficients(p.coefficients)
     parts = []
-    for ints in ([cr for cr, _ in scaled], [ci for _, ci in scaled]):
-        if not any(ints):
-            parts.append([0.0] * len(points))
-            continue
-        values = []
-        for n in points:
-            value = 0
-            for c in ints:
-                value = value * n + c
-            values.append(value)
+    for ints in (p._re, p._im):
         try:
-            parts.append([value / den for value in values])
+            parts.append([_horner(ints, n) / p._den for n in points]
+                         if ints else [0.0] * len(points))
         except OverflowError:
             raise FloatOverflow("exact value beyond the float range") from None
     return parts[0], parts[1]

@@ -104,7 +104,7 @@ class LaurentSymbol(_TermMap):
         poly = self._terms.get(k)
         if poly is None:
             return GaussianRational(0)
-        return poly.coefficients[-1]
+        return poly.leading_coefficient()
 
     def __add__(self, other):
         if not isinstance(other, LaurentSymbol):
@@ -157,10 +157,8 @@ class LaurentSymbol(_TermMap):
 
 def _monomial_degree(poly: Polynomial):
     """Degree if the polynomial is a single monomial, else ``None``."""
-    nonzero = [n for n, c in enumerate(poly.coefficients) if c]
-    if len(nonzero) == 1:
-        return nonzero[0]
-    return None
+    support = poly.support()
+    return support[0] if len(support) == 1 else None
 
 
 def _detect_degree(modes: dict) -> int | None:
