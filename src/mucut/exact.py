@@ -2,15 +2,9 @@
 
 Rationals are stdlib :class:`fractions.Fraction` (always reduced, positive
 denominator, arbitrary precision); this module layers the complex-rational
-field, dense univariate polynomials over it, and the small amount of integer
+field, dense univariate polynomials over it (integer numerators over one
+denominator, see :class:`Polynomial`), and the small amount of integer
 lattice algebra the cone calculus needs.
-
-A polynomial is not a tuple of Gaussian rationals: it stores the integer
-numerators of its real and imaginary parts over one positive common
-denominator, with one gcd reduction per result (the content/primitive-part
-form of FLINT's ``fmpq_poly``). Its arithmetic, shifts, division and
-evaluation run on Python ints; Gaussian rationals are built only where a
-coefficient or a value is read.
 """
 
 from __future__ import annotations
@@ -265,12 +259,11 @@ def _poly(den: int, re: list, im: list) -> "Polynomial":
 class Polynomial:
     """Dense univariate polynomial over the Gaussian rationals.
 
-    Stored as ``(re + i*im) / den``: one positive denominator ``den`` and
-    the integer numerators ``re`` and ``im`` of the real and imaginary
-    parts, lowest degree first, each without trailing zeros, and
-    ``gcd(den, numerators) == 1``, so equal polynomials are stored alike.
-    ``coefficients`` builds the Gaussian rationals when it is read. The
-    zero polynomial has no coefficients and ``degree`` ``None`` (a
+    Stored as ``(re + i*im) / den``: integer numerator tuples, lowest
+    degree first and each without trailing zeros, over ``den > 0`` with
+    ``gcd(den, numerators) == 1`` (FLINT's ``fmpq_poly`` layout), so every
+    operation runs on ints; ``coefficients`` are built when read. The zero
+    polynomial has no coefficients and ``degree`` ``None`` (a
     deliberate sentinel: callers must branch on it explicitly instead of
     relying on a numeric convention).
 
@@ -354,23 +347,16 @@ class Polynomial:
         return [n for n, (r, i) in enumerate(zip(re, im)) if r or i]
 
     def __call__(self, x) -> GaussianRational:
-        """Exact value at ``x`` by Horner's rule on Python integers.
-
-        With ``x`` written as ``(xr + i*xi) / dx`` the loop accumulates
-        ``den * dx**degree * p(x)``, and the one division comes at the end.
-        """
+        """Exact value at ``x = (xr + i*xi) / dx`` by Horner's rule on ints:
+        the loop accumulates ``den * dx**degree * p(x)``, then one division."""
         xr, xi, dx = _gaussian_parts(x)
-        den = self._den
-        if not xi and dx == 1:
-            return GaussianRational(Fraction(_horner(self._re, xr), den),
-                                    Fraction(_horner(self._im, xr), den))
         re = im = 0
         power = 1
         for cr, ci in zip(*map(reversed, _padded(self._re, self._im))):
             re, im = (re * xr - im * xi + cr * power,
                       re * xi + im * xr + ci * power)
             power *= dx
-        scale = den * power // dx if self else 1
+        scale = self._den * power // dx if self else 1
         return GaussianRational(Fraction(re, scale), Fraction(im, scale))
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
@@ -415,13 +401,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, divisor: "Polynomial"):
-        """Pseudo-division on the numerators ``A`` and ``B``.
-
-        With ``b`` the leading entry of ``B`` and ``N = |b|**2``, long
-        division by ``conj(b)*B``, which leads with ``N``, scales the
-        running remainder by ``N`` at each of its ``e`` steps; that gives
-        ``N**e * A = Q * conj(b)*B + R`` on Gaussian integers.
-        """
+        """Pseudo-division of the numerators ``A`` by ``conj(b)*B``, ``b``
+        the lead of ``B``: ``N**e * A = Q * conj(b)*B + R`` with
+        ``N = |b|**2`` and ``e`` the number of quotient terms."""
         divisor = _coerce_poly(divisor)
         if divisor is None:
             return NotImplemented
@@ -452,11 +434,8 @@ class Polynomial:
                 _poly(den, rr[:n], ri[:n]))
 
     def shift(self, offset) -> "Polynomial":
-        """Precompose with a translation: returns ``p(x + offset)``.
-
-        An integer offset is an integer Taylor shift of each numerator
-        part; any other runs Horner's rule on ``x + offset``.
-        """
+        """``p(x + offset)``: an integer Taylor shift of both numerator
+        parts for an int offset, else Horner's rule on ``x + offset``."""
         if type(offset) is int:
             return _poly(self._den, _taylor_shift(self._re, offset),
                          _taylor_shift(self._im, offset))
@@ -486,7 +465,7 @@ class Polynomial:
     def __hash__(self):
         # a constant hashes as the scalar it equals
         if not self.degree:
-            return hash(self.leading_coefficient()) if self else 0
+            return hash(self(0))
         return hash((self._den, self._re, self._im))
 
     def __repr__(self):
@@ -544,14 +523,10 @@ def poly_divide_exact(p: Polynomial, divisor: Polynomial) -> Polynomial:
 
 
 def _float_values(p: Polynomial, points: range) -> tuple[list, list]:
-    """Real and imaginary parts of ``complex(p(n))`` for every ``n`` in
-    ``points``, a range of integers.
-
-    Each part is the integer Horner of its stored numerators at ``n``, then
-    one correctly rounded ``int / int`` division by the denominator, so the
-    floats are bit-identical to converting each exact value. A part beyond
-    the float range raises :class:`FloatOverflow`.
-    """
+    """Real and imaginary parts of ``complex(p(n))`` for each ``n`` in the
+    integer range ``points``: a correctly rounded ``int / int`` per part,
+    so bit-identical to converting each exact value; a part beyond the
+    float range raises :class:`FloatOverflow`."""
     parts = []
     for ints in (p._re, p._im):
         try:
